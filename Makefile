@@ -1,6 +1,6 @@
 # Convenience targets; everything real lives in dune.
 
-.PHONY: all build test bench-smoke bench-par-smoke bench-json perf perf-exec perf-exec-smoke perf-chain perf-trace perf-adapt perf-serve perf-cfi perf-check perf-check-smoke check clean
+.PHONY: all build test bench-smoke bench-par-smoke bench-json bench-e2e check clean
 
 all: build
 
@@ -13,95 +13,29 @@ test:
 # a fast end-to-end pass: full build, test suite, and one benchmark
 # harness run at smoke size with machine-readable output
 bench-smoke:
-	dune exec bench/main.exe -- --size test --only T1,F2 --no-bechamel \
+	dune exec bench/main.exe -- --size test --only T1,F2 \
 	  --json _build/bench-smoke
 
 # the same smoke through the worker pool: exercises domain spawning,
 # the single-flight memo under contention, and the jobs-independence
 # of the emitted tables
 bench-par-smoke:
-	dune exec bench/main.exe -- --size test --only F2 --jobs 4 --no-bechamel
+	dune exec bench/main.exe -- --size test --only F2 --jobs 4
 
-# record the full-grid benchmark as machine-readable BENCH_*.json
-# (per-experiment wall-clock seconds, jobs, cells, simulated vs cached);
-# committed baselines live in bench/baselines/
+# record the full grid as machine-readable BENCH_*.json (per-experiment
+# wall-clock seconds, jobs, cells, simulated vs cached, activity
+# counters)
 bench-json:
-	dune exec bench/main.exe -- --size test --no-bechamel \
-	  --json bench/baselines
+	dune exec bench/main.exe -- --size test --json _build/bench-json
 
-# time the full grid serial vs parallel vs warm-cache and print the
-# ratios (see `--perf` in bench/main.ml)
-perf:
-	dune exec bench/main.exe -- --size test --no-bechamel --perf --jobs 0
+# the repo benchmark: the BENCHMARK.json command over every workload,
+# one `workload metric value unit` line per metric (see
+# bench/e2e/README.md for --seconds, --trace and --json)
+bench-e2e:
+	dune exec --root=. --cache=disabled --display=quiet --no-print-directory \
+	  bench/e2e/sdtbench.exe -- --all
 
-# time the full grid once per interpreter loop (per-step, block
-# without chaining, chained blocks, hot-trace superblocks) and print
-# every pairwise wall-clock ratio plus the chained and trace speedups
-# over the committed bench/baselines/ seconds (all passes cold, serial)
-perf-exec:
-	dune exec bench/main.exe -- --size test --no-bechamel \
-	  --perf-exec step,block-nochain,block,trace
-
-# just the chained pass and its ratio against the committed baselines
-perf-chain:
-	dune exec bench/main.exe -- --size test --no-bechamel --perf-exec block
-
-# just the trace pass and its ratio against the committed baselines
-perf-trace:
-	dune exec bench/main.exe -- --size test --no-bechamel --perf-exec trace
-
-# dry-run form of the exec matrix (one small experiment) so `check`
-# exercises the mode plumbing without the full grid cost
-perf-exec-smoke:
-	dune exec bench/main.exe -- --size test --only T1 --no-bechamel \
-	  --perf-exec step,block-nochain,block,trace
-
-# the adaptive-selection experiment: the regression gate on F10 (run
-# behind F8/F9 so the in-run memo mirrors the full-grid baseline
-# conditions — the three share the static-mechanism cells) plus the
-# F10 perf report, whose adaptive-IB line prints the
-# promotion/demotion/re-patch totals for the pass
-perf-adapt:
-	dune exec bench/main.exe -- --size test --only F8,F9,F10 --check-perf \
-	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE) \
-	  --trajectory _build/trajectory-adapt.jsonl
-	dune exec bench/main.exe -- --size test --only F10 --no-bechamel --perf
-
-# the multi-tenant serving experiment: the regression gate on F11
-# plus the F11 perf report, whose serving line prints the
-# jobs/dedup/eviction/flush totals for the pass
-perf-serve:
-	dune exec bench/main.exe -- --size test --only F11 --check-perf \
-	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE) \
-	  --trajectory _build/trajectory-serve.jsonl
-	dune exec bench/main.exe -- --size test --only F11 --no-bechamel --perf
-
-# the F12 CFI gate: protection-overhead grid against the committed
-# baseline, then the cfi_* counter block for eyeballing
-perf-cfi:
-	dune exec bench/main.exe -- --size test --only F12 --check-perf \
-	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE) \
-	  --trajectory _build/trajectory-cfi.jsonl
-	dune exec bench/main.exe -- --size test --only F12 --no-bechamel --perf
-
-# the statistical regression gate: re-time the full grid (cold,
-# serial, best-of-N) against bench/baselines, append one row to
-# bench/trajectory.jsonl, exit non-zero on regression. PERF_MODE
-# selects the interpreter; PERF_TOLERANCE the relative threshold
-# (CI shares hardware, so its caller passes a generous one).
-PERF_MODE ?= block
-PERF_TOLERANCE ?= 1.5
-perf-check:
-	dune exec bench/main.exe -- --size test --check-perf \
-	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE)
-
-# the gate on two small experiments only — for CI smoke and `check`
-perf-check-smoke:
-	dune exec bench/main.exe -- --size test --only T1,F2 --check-perf \
-	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE) \
-	  --trajectory _build/trajectory-smoke.jsonl
-
-check: build test bench-smoke bench-par-smoke perf-exec-smoke perf-check-smoke
+check: build test bench-smoke bench-par-smoke
 
 clean:
 	dune clean

@@ -1,6 +1,6 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md's experiment index) and registers
-   one Bechamel test per experiment measuring the harness itself.
+(* The experiment harness: regenerates every table and figure of the
+   paper's evaluation (see DESIGN.md's experiment index). Host
+   performance is measured end to end by bench/e2e/sdtbench.exe.
 
    Each experiment declares its measurement grid as data; the harness
    fans the not-yet-cached cells out over a Domain worker pool
@@ -15,15 +15,12 @@
      dune exec bench/main.exe -- --jobs 4     -- parallel evaluation
      dune exec bench/main.exe -- --cache DIR  -- on-disk result cache
      dune exec bench/main.exe -- --json out/  -- machine-readable results
-     dune exec bench/main.exe -- --perf       -- serial/parallel/warm timing
-     dune exec bench/main.exe -- --no-bechamel
 *)
 
 module Experiments = Sdt_harness.Experiments
 module Table = Sdt_harness.Table
 module Run = Sdt_harness.Run
 module Meta = Sdt_harness.Meta
-module Perfgate = Sdt_harness.Perfgate
 module Pool = Sdt_par.Pool
 module Telemetry = Sdt_par.Telemetry
 module Jsonw = Sdt_observe.Jsonw
@@ -31,44 +28,16 @@ module Jsonw = Sdt_observe.Jsonw
 type options = {
   mutable size : Experiments.size;
   mutable only : string list option;
-  mutable bechamel : bool;
   mutable csv_dir : string option;
   mutable json_dir : string option;
   mutable jobs : int;
   mutable cache_dir : string option;
-  mutable perf : bool;
-  mutable perf_exec : string option;
-  mutable exec_mode : [ `Step | `Block | `Block_nochain | `Trace ];
+  mutable exec_mode : Run.exec_mode;
   mutable telemetry : string option;
-  mutable check_perf : bool;
-  mutable best_of : int;
-  mutable tolerance : float;
-  mutable baseline_dir : string;
-  mutable trajectory : string;
 }
 
-let mode_of_string = function
-  | "step" -> Some `Step
-  | "block" -> Some `Block
-  | "block-nochain" -> Some `Block_nochain
-  | "trace" -> Some `Trace
-  | _ -> None
-
-let mode_name = function
-  | `Step -> "step"
-  | `Block -> "block"
-  | `Block_nochain -> "block-nochain"
-  | `Trace -> "trace"
-
-let mode_label = function
-  | `Step -> "per-step interpreter"
-  | `Block -> "chained block interpreter"
-  | `Block_nochain -> "block interpreter (no chain)"
-  | `Trace -> "trace/superblock interpreter"
-
-(* one row per option: flag, value placeholder ("" = boolean), doc,
-   handler — the usage string and the dispatch loop both derive from
-   this table *)
+(* one row per option: flag, value placeholder, doc, handler — the
+   usage string and the dispatch loop both derive from this table *)
 let specs (o : options) =
   [
     ( "--size",
@@ -114,78 +83,23 @@ let specs (o : options) =
       "DIR",
       "persist simulation results to DIR and reuse them across runs",
       fun v -> o.cache_dir <- Some v );
-    ( "--perf",
-      "",
-      "time the selected grid serial vs parallel vs warm-cache, then exit",
-      fun _ -> o.perf <- true );
-    ( "--perf-exec",
-      "MODES",
-      "time the selected grid cold-serial once per comma-separated \
-       interpreter mode (step|block|block-nochain|trace), report the \
-       speedup matrix and the ratio against the committed \
-       bench/baselines, then exit",
-      fun v -> o.perf_exec <- Some v );
     ( "--exec-mode",
       "step|block|block-nochain|trace",
-      "interpreter loop for simulated cells (default block; results are \
-       bit-identical in every mode)",
+      "interpreter loop for simulated cells (default SDT_EXEC_MODE, else \
+       block; results are bit-identical in every mode)",
       fun v ->
         o.exec_mode <-
-          (match mode_of_string v with
-          | Some m -> m
-          | None ->
-              Printf.eprintf
-                "--exec-mode: expected step, block, block-nochain or trace, \
-                 got %S\n"
-                v;
+          (match Run.exec_mode_of_string v with
+          | Ok m -> m
+          | Error msg ->
+              Printf.eprintf "--exec-mode: %s\n" msg;
               exit 2) );
-    ( "--no-bechamel",
-      "",
-      "skip the Bechamel wall-time measurements",
-      fun _ -> o.bechamel <- false );
     ( "--telemetry",
       "DIR",
       "record harness telemetry and write DIR/trace.json (Chrome \
        trace_event, one track per worker domain), DIR/METRICS.json and \
        DIR/RUN_META.json on exit",
       fun v -> o.telemetry <- Some v );
-    ( "--check-perf",
-      "",
-      "re-time the selected grid (cold, serial, best-of-N) against \
-       bench/baselines, append a row to bench/trajectory.jsonl, and \
-       exit non-zero on regression",
-      fun _ -> o.check_perf <- true );
-    ( "--best-of",
-      "N",
-      "repetitions per experiment for --check-perf; the minimum is \
-       kept (default 3)",
-      fun v ->
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> o.best_of <- n
-        | _ ->
-            Printf.eprintf "--best-of: expected a positive integer, got %S\n" v;
-            exit 2 );
-    ( "--perf-tolerance",
-      "F",
-      "relative threshold for --check-perf: regress iff measured > \
-       baseline * F + 0.05s (default 1.5)",
-      fun v ->
-        match float_of_string_opt v with
-        | Some f when f > 0.0 -> o.tolerance <- f
-        | _ ->
-            Printf.eprintf
-              "--perf-tolerance: expected a positive float, got %S\n" v;
-            exit 2 );
-    ( "--baseline-dir",
-      "DIR",
-      "where --check-perf reads BENCH_<id>.json baselines (default \
-       bench/baselines)",
-      fun v -> o.baseline_dir <- v );
-    ( "--trajectory",
-      "FILE",
-      "where --check-perf appends its JSONL row (default \
-       bench/trajectory.jsonl)",
-      fun v -> o.trajectory <- v );
   ]
 
 let usage specs =
@@ -194,9 +108,7 @@ let usage specs =
   List.iter
     (fun (flag, value, doc, _) ->
       Buffer.add_string b
-        (Printf.sprintf "  %-22s %s\n"
-           (if value = "" then flag else flag ^ " " ^ value)
-           doc))
+        (Printf.sprintf "  %-22s %s\n" (flag ^ " " ^ value) doc))
     specs;
   Buffer.contents b
 
@@ -205,20 +117,12 @@ let parse_args () =
     {
       size = `Ref;
       only = None;
-      bechamel = true;
       csv_dir = None;
       json_dir = None;
       jobs = 1;
       cache_dir = None;
-      perf = false;
-      perf_exec = None;
-      exec_mode = `Block;
+      exec_mode = Run.exec_mode ();
       telemetry = None;
-      check_perf = false;
-      best_of = 3;
-      tolerance = 1.5;
-      baseline_dir = Filename.concat "bench" "baselines";
-      trajectory = Filename.concat "bench" "trajectory.jsonl";
     }
   in
   let specs = specs o in
@@ -226,9 +130,6 @@ let parse_args () =
     | [] -> ()
     | arg :: rest -> (
         match List.find_opt (fun (flag, _, _, _) -> flag = arg) specs with
-        | Some (_, "", _, handle) ->
-            handle "";
-            go rest
         | Some (flag, value, _, handle) -> (
             match rest with
             | v :: rest ->
@@ -278,63 +179,28 @@ let table_json (t : Table.t) =
 type cell_report = {
   r_cells : int;  (** unique grid cells *)
   r_simulated : int;  (** cells actually simulated this experiment *)
-  r_cache_hits : int;  (** cells served from memory or disk *)
   r_instructions : int;  (** guest instructions the simulated cells ran *)
   r_mips : float;  (** r_instructions / wall seconds, in millions *)
-  r_block_decodes : int;  (** blocks compiled by the simulated cells *)
-  r_block_invalidations : int;  (** recompiles forced by SMC *)
-  r_chain_hits : int;  (** block transitions served by a chain link *)
-  r_chain_severs : int;  (** chain links dropped as stale *)
-  r_trace_compiles : int;  (** superblocks formed (trace mode only) *)
-  r_trace_entries : int;  (** dispatches that entered a valid trace *)
-  r_side_exits : int;  (** trace guard divergences *)
-  r_trace_severs : int;  (** traces dropped by a generation bump *)
-  r_adapt_promotions : int;  (** adaptive tier promotions taken *)
-  r_adapt_demotions : int;  (** adaptive tier demotions taken *)
-  r_adapt_repatches : int;  (** adaptive exit transfers re-patched *)
-  r_cfi_checks : int;  (** CFI membership tests run by the simulated cells *)
-  r_cfi_violations : int;  (** CFI violations recorded *)
-  r_cfi_xcalls : int;  (** mediated cross-compartment transfers *)
-  r_serve_jobs : int;  (** guest jobs completed by service runs *)
-  r_serve_dedup_hits : int;  (** translations served as cross-tenant copies *)
-  r_serve_evictions : int;  (** shared-store entries evicted *)
-  r_serve_flushes : int;  (** tenant fragment-cache flushes *)
+  r_counters : (string * int) list;  (** {!Run.counters} deltas *)
 }
 
 let experiment_json (e : Experiments.experiment) size ~jobs seconds
     (r : cell_report) tables =
   Jsonw.Obj
-    [
-      ("id", Jsonw.Str e.Experiments.id);
-      ("title", Jsonw.Str e.Experiments.title);
-      ("size", Jsonw.Str (match size with `Test -> "test" | `Ref -> "ref"));
-      ("jobs", Jsonw.Int jobs);
-      ("seconds", Jsonw.Float seconds);
-      ("cells", Jsonw.Int r.r_cells);
-      ("simulated", Jsonw.Int r.r_simulated);
-      ("cache_hits", Jsonw.Int r.r_cache_hits);
-      ("instructions", Jsonw.Int r.r_instructions);
-      ("mips", Jsonw.Float r.r_mips);
-      ("block_decodes", Jsonw.Int r.r_block_decodes);
-      ("block_invalidations", Jsonw.Int r.r_block_invalidations);
-      ("chain_hits", Jsonw.Int r.r_chain_hits);
-      ("chain_severs", Jsonw.Int r.r_chain_severs);
-      ("trace_compiles", Jsonw.Int r.r_trace_compiles);
-      ("trace_entries", Jsonw.Int r.r_trace_entries);
-      ("side_exits", Jsonw.Int r.r_side_exits);
-      ("trace_severs", Jsonw.Int r.r_trace_severs);
-      ("adapt_promotions", Jsonw.Int r.r_adapt_promotions);
-      ("adapt_demotions", Jsonw.Int r.r_adapt_demotions);
-      ("adapt_repatches", Jsonw.Int r.r_adapt_repatches);
-      ("cfi_checks", Jsonw.Int r.r_cfi_checks);
-      ("cfi_violations", Jsonw.Int r.r_cfi_violations);
-      ("cfi_xcalls", Jsonw.Int r.r_cfi_xcalls);
-      ("serve_jobs", Jsonw.Int r.r_serve_jobs);
-      ("serve_dedup_hits", Jsonw.Int r.r_serve_dedup_hits);
-      ("serve_evictions", Jsonw.Int r.r_serve_evictions);
-      ("serve_flushes", Jsonw.Int r.r_serve_flushes);
-      ("tables", Jsonw.List (List.map table_json tables));
-    ]
+    ([
+       ("id", Jsonw.Str e.Experiments.id);
+       ("title", Jsonw.Str e.Experiments.title);
+       ("size", Jsonw.Str (match size with `Test -> "test" | `Ref -> "ref"));
+       ("jobs", Jsonw.Int jobs);
+       ("seconds", Jsonw.Float seconds);
+       ("cells", Jsonw.Int r.r_cells);
+       ("simulated", Jsonw.Int r.r_simulated);
+       ("cache_hits", Jsonw.Int (r.r_cells - r.r_simulated));
+       ("instructions", Jsonw.Int r.r_instructions);
+       ("mips", Jsonw.Float r.r_mips);
+     ]
+    @ List.map (fun (k, v) -> (k, Jsonw.Int v)) r.r_counters
+    @ [ ("tables", Jsonw.List (List.map table_json tables)) ])
 
 let now = Unix.gettimeofday
 
@@ -345,46 +211,21 @@ let now = Unix.gettimeofday
 let run_one pool size (e : Experiments.experiment) =
   let s0 = (Run.cache_stats ()).Run.simulated in
   let i0 = Run.simulated_instructions () in
-  let b0 = Run.block_cache_stats () in
-  let a0 = Run.adapt_stats () in
-  let c0 = Run.cfi_stats () in
-  let v0 = Run.serve_stats () in
+  let k0 = Run.counters () in
   let t0 = now () in
   let cells = Experiments.evaluate ~pool size e in
   let tables = e.Experiments.run size in
   let seconds = now () -. t0 in
-  let simulated = (Run.cache_stats ()).Run.simulated - s0 in
   let instructions = Run.simulated_instructions () - i0 in
-  let b1 = Run.block_cache_stats () in
-  let a1 = Run.adapt_stats () in
-  let c1 = Run.cfi_stats () in
-  let v1 = Run.serve_stats () in
   ( tables,
     seconds,
     {
       r_cells = cells;
-      r_simulated = simulated;
-      r_cache_hits = cells - simulated;
+      r_simulated = (Run.cache_stats ()).Run.simulated - s0;
       r_instructions = instructions;
       r_mips = float_of_int instructions /. Float.max seconds 1e-9 /. 1e6;
-      r_block_decodes = b1.Run.decodes - b0.Run.decodes;
-      r_block_invalidations = b1.Run.invalidations - b0.Run.invalidations;
-      r_chain_hits = b1.Run.chain_hits - b0.Run.chain_hits;
-      r_chain_severs = b1.Run.chain_severs - b0.Run.chain_severs;
-      r_trace_compiles = b1.Run.trace_compiles - b0.Run.trace_compiles;
-      r_trace_entries = b1.Run.trace_entries - b0.Run.trace_entries;
-      r_side_exits = b1.Run.side_exits - b0.Run.side_exits;
-      r_trace_severs = b1.Run.trace_severs - b0.Run.trace_severs;
-      r_adapt_promotions = a1.Run.promotions - a0.Run.promotions;
-      r_adapt_demotions = a1.Run.demotions - a0.Run.demotions;
-      r_adapt_repatches = a1.Run.repatches - a0.Run.repatches;
-      r_cfi_checks = c1.Run.checks - c0.Run.checks;
-      r_cfi_violations = c1.Run.violations - c0.Run.violations;
-      r_cfi_xcalls = c1.Run.xcalls - c0.Run.xcalls;
-      r_serve_jobs = v1.Run.jobs_served - v0.Run.jobs_served;
-      r_serve_dedup_hits = v1.Run.dedup_hits - v0.Run.dedup_hits;
-      r_serve_evictions = v1.Run.evictions - v0.Run.evictions;
-      r_serve_flushes = v1.Run.service_flushes - v0.Run.service_flushes;
+      r_counters =
+        List.map2 (fun (k, a) (_, b) -> (k, b - a)) k0 (Run.counters ());
     } )
 
 let run_experiments pool size csv_dir json_dir exps =
@@ -426,7 +267,7 @@ let run_experiments pool size csv_dir json_dir exps =
          MIPS]\n\n\
          %!"
         e.Experiments.id e.Experiments.title seconds r.r_cells r.r_simulated
-        r.r_cache_hits
+        (r.r_cells - r.r_simulated)
         (r.r_instructions / 1_000_000)
         r.r_mips)
     exps;
@@ -436,208 +277,6 @@ let run_experiments pool size csv_dir json_dir exps =
     (now () -. t_start) (Pool.jobs pool) !total_cells !total_sim
     (!total_cells - !total_sim)
 
-(* --perf: three passes over the selected grid — cold serial, cold
-   parallel, warm — and the ratios the ROADMAP cares about. The disk
-   cache is left out so each cold pass really simulates. *)
-let run_perf size jobs exps =
-  Run.set_cache_dir None;
-  let pass label pool =
-    Run.clear_cache ();
-    let i0 = Run.simulated_instructions () in
-    let t0 = now () in
-    List.iter
-      (fun e ->
-        ignore (Experiments.evaluate ?pool size e);
-        ignore (e.Experiments.run size))
-      exps;
-    let dt = now () -. t0 in
-    let mi = float_of_int (Run.simulated_instructions () - i0) /. 1e6 in
-    Printf.printf "  %-28s %8.2fs  %7.0f Minstrs  %6.1f MIPS\n%!" label dt mi
-      (mi /. Float.max dt 1e-9);
-    dt
-  in
-  Printf.printf "== perf: %d experiments, %s size ==\n%!" (List.length exps)
-    (match size with `Test -> "test" | `Ref -> "ref");
-  let serial = pass "serial (--jobs 1)" None in
-  let parallel =
-    Pool.with_pool ~jobs (fun p ->
-        pass (Printf.sprintf "parallel (--jobs %d)" jobs) (Some p))
-  in
-  (* warm: do NOT clear the cache — every cell is a memo hit *)
-  let t0 = now () in
-  List.iter (fun e -> ignore (e.Experiments.run size)) exps;
-  let warm = now () -. t0 in
-  Printf.printf "  %-28s %8.2fs\n" "warm cache (render only)" warm;
-  Printf.printf "  serial/parallel ratio: %.2fx\n" (serial /. parallel);
-  Printf.printf "  serial/warm ratio:     %.0fx\n%!"
-    (serial /. Float.max warm 1e-6);
-  let b = Run.block_cache_stats () in
-  Printf.printf
-    "  block cache: %d decodes, %d invalidations, %d chain hits, %d chain \
-     severs\n%!"
-    b.Run.decodes b.Run.invalidations b.Run.chain_hits b.Run.chain_severs;
-  if b.Run.trace_compiles > 0 then
-    Printf.printf
-      "  trace tier: %d compiles, %d entries, %d side exits, %d severs\n%!"
-      b.Run.trace_compiles b.Run.trace_entries b.Run.side_exits
-      b.Run.trace_severs;
-  let a = Run.adapt_stats () in
-  if a.Run.promotions + a.Run.demotions + a.Run.repatches > 0 then
-    Printf.printf
-      "  adaptive IB: %d promotions, %d demotions, %d repatches\n%!"
-      a.Run.promotions a.Run.demotions a.Run.repatches;
-  let v = Run.serve_stats () in
-  if v.Run.jobs_served > 0 then
-    Printf.printf
-      "  serving: %d jobs, %d dedup hits, %d evictions, %d flushes\n%!"
-      v.Run.jobs_served v.Run.dedup_hits v.Run.evictions v.Run.service_flushes;
-  let c = Run.cfi_stats () in
-  if c.Run.checks + c.Run.violations + c.Run.xcalls > 0 then
-    Printf.printf "  cfi: %d checks, %d violations, %d xcalls\n%!" c.Run.checks
-      c.Run.violations c.Run.xcalls
-
-(* The committed baseline wall time for an experiment selection: the
-   sum of the "seconds" fields of bench/baselines/BENCH_<id>.json, if
-   every selected experiment has one. Those files are regenerated (and
-   committed) by `make bench-json` on the same grid --perf-exec times,
-   so the ratio is this tree versus the tree that committed them. *)
-let baseline_seconds exps =
-  let dir = Filename.concat "bench" "baselines" in
-  List.fold_left
-    (fun acc (e : Experiments.experiment) ->
-      match acc with
-      | None -> None
-      | Some total -> (
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "BENCH_%s.json" e.Experiments.id)
-          in
-          if not (Sys.file_exists path) then None
-          else
-            match
-              Jsonw.of_string
-                (In_channel.with_open_text path In_channel.input_all)
-            with
-            | Ok doc -> (
-                match Jsonw.member "seconds" doc with
-                | Some (Jsonw.Float s) -> Some (total +. s)
-                | Some (Jsonw.Int s) -> Some (total +. float_of_int s)
-                | _ -> None)
-            | Error _ -> None))
-    (Some 0.) exps
-
-(* --perf-exec: the same cold serial grid once per interpreter mode.
-   The measured tables are bit-identical in every mode (enforced by the
-   test suite); the ratios are the host-side speedups, and the chained
-   pass is additionally compared against the committed baselines (the
-   `make perf-chain` acceptance number). *)
-let run_perf_exec size modes exps =
-  Run.set_cache_dir None;
-  let pass mode =
-    Run.set_exec_mode mode;
-    Run.clear_cache ();
-    let i0 = Run.simulated_instructions () in
-    let t0 = now () in
-    List.iter
-      (fun (e : Experiments.experiment) ->
-        ignore (Experiments.evaluate size e);
-        ignore (e.Experiments.run size))
-      exps;
-    let dt = now () -. t0 in
-    let mi = float_of_int (Run.simulated_instructions () - i0) /. 1e6 in
-    Printf.printf "  %-28s %8.2fs  %7.0f Minstrs  %6.1f MIPS\n%!"
-      (mode_label mode) dt mi
-      (mi /. Float.max dt 1e-9);
-    (mode, dt)
-  in
-  Printf.printf "== perf-exec: %d experiments, %s size, serial ==\n%!"
-    (List.length exps)
-    (match size with `Test -> "test" | `Ref -> "ref");
-  let times = List.map pass modes in
-  Run.set_exec_mode `Block;
-  let time_of m = List.assoc_opt m times in
-  let ratio label a b =
-    match (time_of a, time_of b) with
-    | Some ta, Some tb -> Printf.printf "  %s %.2fx\n%!" label (ta /. tb)
-    | _ -> ()
-  in
-  ratio "step/chained speedup:       " `Step `Block;
-  ratio "step/nochain speedup:       " `Step `Block_nochain;
-  ratio "nochain/chained speedup:    " `Block_nochain `Block;
-  ratio "step/trace speedup:         " `Step `Trace;
-  ratio "chained/trace speedup:      " `Block `Trace;
-  let against_baseline label mode =
-    match (time_of mode, baseline_seconds exps) with
-    | Some dt, Some base ->
-        Printf.printf "  %s %.2fx  (%.2fs baseline)\n%!" label (base /. dt)
-          base
-    | Some _, None ->
-        Printf.printf
-          "  %s n/a (no bench/baselines entry for every selected \
-           experiment)\n%!"
-          label
-    | None, _ -> ()
-  in
-  against_baseline "committed-baseline/chained:" `Block;
-  against_baseline "committed-baseline/trace:  " `Trace
-
-(* --check-perf: the statistical regression gate (see Perfgate). Cold,
-   serial, best-of-N per experiment so one noisy repetition can't fail
-   the gate; verdicts against --baseline-dir; one provenance-stamped
-   row appended to --trajectory; exit 1 naming the offenders. *)
-let run_check_perf (o : options) exps =
-  Run.set_cache_dir None;
-  let size_str = match o.size with `Test -> "test" | `Ref -> "ref" in
-  Printf.printf
-    "== perf-check: %d experiments, %s size, %s, best of %d, tolerance %.2fx \
-     ==\n%!"
-    (List.length exps) size_str (mode_label o.exec_mode) o.best_of o.tolerance;
-  (* Measure the way the baselines were recorded: one cold pass over
-     the selection with the in-run memo shared across experiments
-     (F8/F9 share a grid — clearing between experiments would time F9
-     against a baseline that served every cell from cache). Best-of-N
-     is then taken per experiment across whole passes. *)
-  let pass () =
-    Run.clear_cache ();
-    List.map
-      (fun (e : Experiments.experiment) ->
-        let t0 = now () in
-        ignore (Experiments.evaluate o.size e);
-        ignore (e.Experiments.run o.size);
-        (e.Experiments.id, now () -. t0))
-      exps
-  in
-  let passes = List.init o.best_of (fun _ -> pass ()) in
-  let measured =
-    List.map
-      (fun (e : Experiments.experiment) ->
-        let id = e.Experiments.id in
-        (id, Perfgate.best_of (List.map (List.assoc id) passes)))
-      exps
-  in
-  let verdicts =
-    Perfgate.check ~tolerance:o.tolerance
-      ~baseline:(Perfgate.load_baseline ~dir:o.baseline_dir)
-      measured
-  in
-  List.iter (fun v -> Format.printf "%a@." Perfgate.pp_verdict v) verdicts;
-  let meta =
-    Meta.to_json ~jobs:1 ~exec_mode:(mode_name o.exec_mode) ~cache:"cold"
-      ~extra:
-        [ ("size", Jsonw.Str size_str); ("best_of", Jsonw.Int o.best_of) ]
-      ()
-  in
-  Perfgate.append_trajectory ~file:o.trajectory
-    (Perfgate.trajectory_row ~meta ~tolerance:o.tolerance verdicts);
-  Printf.printf "  [trajectory row appended to %s]\n%!" o.trajectory;
-  match Perfgate.regressions verdicts with
-  | [] -> Printf.printf "  perf-check: ok\n%!"
-  | rs ->
-      Printf.printf "  perf-check: REGRESSED: %s\n%!"
-        (String.concat ", "
-           (List.map (fun v -> v.Perfgate.v_id) rs));
-      exit 1
-
 let rec mkdir_p dir =
   if dir <> "" && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -646,7 +285,7 @@ let rec mkdir_p dir =
 
 (* --telemetry DIR: install the global sink before any work and dump
    the trace on exit. Registered with at_exit so the files land even
-   when --check-perf exits non-zero. *)
+   when a run fails. *)
 let dump_telemetry (o : options) dir sink =
   mkdir_p dir;
   Out_channel.with_open_text (Filename.concat dir "trace.json") (fun oc ->
@@ -656,7 +295,7 @@ let dump_telemetry (o : options) dir sink =
       output_char oc '\n');
   Out_channel.with_open_text (Filename.concat dir "RUN_META.json") (fun oc ->
       Jsonw.to_channel oc
-        (Meta.to_json ~jobs:o.jobs ~exec_mode:(mode_name o.exec_mode)
+        (Meta.to_json ~jobs:o.jobs ~exec_mode:(Run.exec_mode_name o.exec_mode)
            ~cache:
              (match o.cache_dir with
              | None -> "memory"
@@ -674,50 +313,6 @@ let dump_telemetry (o : options) dir sink =
            ());
       output_char oc '\n');
   Printf.printf "[telemetry: %d events -> %s]\n%!" (Telemetry.events sink) dir
-
-(* One Bechamel test per experiment: each measures one end-to-end
-   evaluation of that experiment at the smoke size (the experiments are
-   deterministic simulations, so wall time per evaluation is the
-   quantity of interest). *)
-let bechamel_tests exps =
-  let open Bechamel in
-  List.map
-    (fun (e : Experiments.experiment) ->
-      Test.make ~name:e.Experiments.id
-        (Staged.stage (fun () ->
-             Run.clear_cache ();
-             ignore (e.Experiments.run `Test))))
-    exps
-
-let run_bechamel exps =
-  let open Bechamel in
-  let open Toolkit in
-  let tests = Test.make_grouped ~name:"experiments" (bechamel_tests exps) in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:8 ~quota:(Time.second 1.0) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline
-    "== Bechamel: wall time per experiment evaluation (smoke size) ==";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (x :: _) -> x
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-28s %10.2f ms/run\n" name (ns /. 1e6))
-    (List.sort compare !rows);
-  print_newline ()
 
 let () =
   (* A grid run churns through hundreds of machines, each allocating
@@ -737,40 +332,12 @@ let () =
       Telemetry.install sink;
       at_exit (fun () -> dump_telemetry o dir sink)
   | None -> ());
-  if o.check_perf then begin
-    run_check_perf o exps;
-    exit 0
-  end;
-  (match o.perf_exec with
-  | Some spec ->
-      let modes =
-        List.map
-          (fun s ->
-            match mode_of_string (String.trim s) with
-            | Some m -> m
-            | None ->
-                Printf.eprintf
-                  "--perf-exec: expected step, block, block-nochain or \
-                   trace, got %S\n"
-                  s;
-                exit 2)
-          (String.split_on_char ',' spec)
-      in
-      run_perf_exec o.size modes exps;
-      exit 0
-  | None -> ());
-  if o.perf then run_perf o.size (max 2 o.jobs) exps
-  else begin
-    Run.set_cache_dir o.cache_dir;
-    Printf.printf
-      "SDT indirect-branch mechanism evaluation (%s size, %d experiments, %d \
-       jobs%s)\n\n%!"
-      (match o.size with `Test -> "test" | `Ref -> "ref")
-      (List.length exps) o.jobs
-      (match o.cache_dir with
-      | None -> ""
-      | Some d -> Printf.sprintf ", cache %s" d);
-    Pool.with_pool ~jobs:o.jobs (fun pool ->
-        run_experiments pool o.size o.csv_dir o.json_dir exps);
-    if o.bechamel then run_bechamel exps
-  end
+  Run.set_cache_dir o.cache_dir;
+  Printf.printf
+    "SDT indirect-branch mechanism evaluation (%s size, %d experiments, %d \
+     jobs%s)\n\n%!"
+    (match o.size with `Test -> "test" | `Ref -> "ref")
+    (List.length exps) o.jobs
+    (match o.cache_dir with None -> "" | Some d -> Printf.sprintf ", cache %s" d);
+  Pool.with_pool ~jobs:o.jobs (fun pool ->
+      run_experiments pool o.size o.csv_dir o.json_dir exps)

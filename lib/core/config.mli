@@ -152,7 +152,8 @@ val cfi_from_env : cfi_policy
 (** The policy named by the [SDT_CFI] environment variable at startup
     ([Cfi_none] when unset) — folded into {!default} and {!baseline} so
     the whole test suite can be swept policy-enabled without touching
-    call sites. An unparseable value raises [Invalid_argument]. *)
+    call sites. An unparseable value prints a message and exits 2 at
+    startup. *)
 
 type t = {
   mech : mechanism;

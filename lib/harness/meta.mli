@@ -1,5 +1,5 @@
 (** Run provenance: the [RUN_META.json] record written next to every
-    telemetry dump and embedded in each [bench/trajectory.jsonl] row.
+    telemetry dump and embedded in the [sdtbench --json] results.
 
     A perf number without its provenance (which commit, which host,
     how many workers, warm or cold cache, which execution mode) can't

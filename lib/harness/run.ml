@@ -41,165 +41,110 @@ exception Mismatch of string
 
 let max_steps = ref 2_000_000_000
 
+type exec_mode = [ `Step | `Block | `Block_nochain | `Trace ]
+
+let exec_mode_name : exec_mode -> string = function
+  | `Step -> "step"
+  | `Block -> "block"
+  | `Block_nochain -> "block-nochain"
+  | `Trace -> "trace"
+
+let exec_mode_of_string = function
+  | "step" -> Ok `Step
+  | "block" -> Ok `Block
+  | "block-nochain" -> Ok `Block_nochain
+  | "trace" -> Ok `Trace
+  | s ->
+      Error
+        (Printf.sprintf
+           "unknown exec mode %S (want step|block|block-nochain|trace)" s)
+
 (* Block modes are a pure host-side speedup (bit-identical measured
    results, enforced by the differential tests), so chained block mode
    is the default; [`Block_nochain] isolates chaining for A/B timing
-   (bench --perf-exec) and differential testing, [`Step] remains the
-   reference loop. SDT_EXEC_MODE overrides the default from the
-   environment so the whole test suite can be re-run under another
-   mode without touching callers (the CI matrix does). *)
-let exec_mode : [ `Step | `Block | `Block_nochain | `Trace ] ref =
+   and differential testing, [`Step] remains the reference loop.
+   SDT_EXEC_MODE overrides the default from the environment so the
+   whole test suite can be re-run under another mode without touching
+   callers (the CI matrix does). Like SDT_CFI, a bad value fails
+   loudly at module init rather than silently testing the default. *)
+let mode : exec_mode ref =
   ref
     (match Sys.getenv_opt "SDT_EXEC_MODE" with
-    | Some "step" -> `Step
-    | Some "block-nochain" -> `Block_nochain
-    | Some "trace" -> `Trace
-    | Some _ | None -> `Block)
+    | None | Some "" -> `Block
+    | Some s -> (
+        match exec_mode_of_string s with
+        | Ok m -> m
+        | Error msg ->
+            prerr_endline ("SDT_EXEC_MODE: " ^ msg);
+            exit 2))
 
-let set_exec_mode m = exec_mode := m
+let set_exec_mode m = mode := m
+let exec_mode () = !mode
 
 let run_machine ~max_steps m =
-  match !exec_mode with
+  match !mode with
   | `Step -> Machine.run ~max_steps m
   | `Block -> Machine.run_blocks ~max_steps m
   | `Block_nochain -> Machine.run_blocks ~chain:false ~max_steps m
   | `Trace -> Machine.run_blocks ~trace:true ~max_steps m
 
-(* Block-cache statistics accumulated across every simulated machine
-   (memoized cells add nothing, as with {!sim_instrs}), native and SDT
-   alike; feeds the bench JSON counters and --perf reporting. *)
-let bc_decodes = Atomic.make 0
-let bc_invalidations = Atomic.make 0
-let bc_chain_hits = Atomic.make 0
-let bc_chain_severs = Atomic.make 0
-let bc_trace_compiles = Atomic.make 0
-let bc_trace_entries = Atomic.make 0
-let bc_side_exits = Atomic.make 0
-let bc_trace_severs = Atomic.make 0
+(* Activity counters summed over every actually-simulated run (memoized
+   cells add nothing, as with {!sim_instrs}) across pool domains. Each
+   family names its counters and reads them off one per-run record;
+   {!counters} reports every family in declaration order. *)
+let family fields = List.map (fun (name, get) -> (name, get, Atomic.make 0)) fields
 
-type block_cache_stats = {
-  decodes : int;
-  invalidations : int;
-  chain_hits : int;
-  chain_severs : int;
-  trace_compiles : int;
-  trace_entries : int;
-  side_exits : int;
-  trace_severs : int;
-}
+let note family x =
+  List.iter (fun (_, get, c) -> ignore (Atomic.fetch_and_add c (get x))) family
 
-let note_block_stats m =
-  match Machine.block_stats m with
-  | None -> ()
-  | Some s ->
-      ignore (Atomic.fetch_and_add bc_decodes s.Sdt_machine.Block.st_decodes);
-      ignore
-        (Atomic.fetch_and_add bc_invalidations
-           s.Sdt_machine.Block.st_invalidations);
-      ignore
-        (Atomic.fetch_and_add bc_chain_hits s.Sdt_machine.Block.st_chain_hits);
-      ignore
-        (Atomic.fetch_and_add bc_chain_severs
-           s.Sdt_machine.Block.st_chain_severs);
-      ignore
-        (Atomic.fetch_and_add bc_trace_compiles
-           s.Sdt_machine.Block.st_trace_compiles);
-      ignore
-        (Atomic.fetch_and_add bc_trace_entries
-           s.Sdt_machine.Block.st_trace_entries);
-      ignore
-        (Atomic.fetch_and_add bc_side_exits s.Sdt_machine.Block.st_side_exits);
-      ignore
-        (Atomic.fetch_and_add bc_trace_severs
-           s.Sdt_machine.Block.st_trace_severs)
+let read family = List.map (fun (name, _, c) -> (name, Atomic.get c)) family
 
-let block_cache_stats () =
-  {
-    decodes = Atomic.get bc_decodes;
-    invalidations = Atomic.get bc_invalidations;
-    chain_hits = Atomic.get bc_chain_hits;
-    chain_severs = Atomic.get bc_chain_severs;
-    trace_compiles = Atomic.get bc_trace_compiles;
-    trace_entries = Atomic.get bc_trace_entries;
-    side_exits = Atomic.get bc_side_exits;
-    trace_severs = Atomic.get bc_trace_severs;
-  }
+let block_counters =
+  family
+    Sdt_machine.Block.
+      [
+        ("block_decodes", fun s -> s.st_decodes);
+        ("block_invalidations", fun s -> s.st_invalidations);
+        ("chain_hits", fun s -> s.st_chain_hits);
+        ("chain_severs", fun s -> s.st_chain_severs);
+        ("trace_compiles", fun s -> s.st_trace_compiles);
+        ("trace_entries", fun s -> s.st_trace_entries);
+        ("side_exits", fun s -> s.st_side_exits);
+        ("trace_severs", fun s -> s.st_trace_severs);
+      ]
 
-(* Adaptive-mechanism transition activity, accumulated the same way as
-   the block-cache counters (actually-simulated cells only); feeds the
-   bench JSON counters and --perf reporting. *)
-let ad_promotions = Atomic.make 0
-let ad_demotions = Atomic.make 0
-let ad_repatches = Atomic.make 0
+let stats_counters =
+  family
+    Stats.
+      [
+        ("adapt_promotions", fun s -> s.adapt_promotions);
+        ("adapt_demotions", fun s -> s.adapt_demotions);
+        ("adapt_repatches", fun s -> s.adapt_repatches);
+        ("cfi_checks", fun s -> s.cfi_checks);
+        ("cfi_violations", fun s -> s.cfi_violations);
+        ("cfi_xcalls", fun s -> s.cfi_xcalls);
+      ]
 
-type adapt_stats = { promotions : int; demotions : int; repatches : int }
+let serve_counters =
+  family
+    Serve.
+      [
+        ("serve_jobs", fun r -> r.rp_jobs);
+        ("serve_dedup_hits", fun r -> r.rp_dedup_hits);
+        ("serve_evictions", fun r -> r.rp_evictions);
+        ("serve_flushes", fun r -> r.rp_flushes);
+      ]
 
-let note_adapt_stats (s : Stats.t) =
-  ignore (Atomic.fetch_and_add ad_promotions s.Stats.adapt_promotions);
-  ignore (Atomic.fetch_and_add ad_demotions s.Stats.adapt_demotions);
-  ignore (Atomic.fetch_and_add ad_repatches s.Stats.adapt_repatches)
+let note_block_stats m = Option.iter (note block_counters) (Machine.block_stats m)
 
-let adapt_stats () =
-  {
-    promotions = Atomic.get ad_promotions;
-    demotions = Atomic.get ad_demotions;
-    repatches = Atomic.get ad_repatches;
-  }
-
-(* CFI policy-stage activity, accumulated the same way; all zero when
-   every cell ran with the policy off. *)
-let cf_checks = Atomic.make 0
-let cf_violations = Atomic.make 0
-let cf_xcalls = Atomic.make 0
-
-type cfi_stats = { checks : int; violations : int; xcalls : int }
-
-let note_cfi_stats (s : Stats.t) =
-  ignore (Atomic.fetch_and_add cf_checks s.Stats.cfi_checks);
-  ignore (Atomic.fetch_and_add cf_violations s.Stats.cfi_violations);
-  ignore (Atomic.fetch_and_add cf_xcalls s.Stats.cfi_xcalls)
-
-let cfi_stats () =
-  {
-    checks = Atomic.get cf_checks;
-    violations = Atomic.get cf_violations;
-    xcalls = Atomic.get cf_xcalls;
-  }
+let counters () =
+  read block_counters @ read stats_counters @ read serve_counters
 
 (* Instructions actually simulated (cache misses only — memoized cells
    add nothing), accumulated across pool domains; feeds the bench
    MIPS figures. *)
 let sim_instrs = Atomic.make 0
 let simulated_instructions () = Atomic.get sim_instrs
-
-(* Serving-layer activity, accumulated over actually-simulated service
-   runs the same way as the block-cache counters; feeds the bench JSON
-   counters and --perf reporting. *)
-let sv_jobs = Atomic.make 0
-let sv_dedup_hits = Atomic.make 0
-let sv_evictions = Atomic.make 0
-let sv_flushes = Atomic.make 0
-
-type serve_stats = {
-  jobs_served : int;
-  dedup_hits : int;
-  evictions : int;
-  service_flushes : int;
-}
-
-let note_serve_stats (r : Serve.report) =
-  ignore (Atomic.fetch_and_add sv_jobs r.Serve.rp_jobs);
-  ignore (Atomic.fetch_and_add sv_dedup_hits r.Serve.rp_dedup_hits);
-  ignore (Atomic.fetch_and_add sv_evictions r.Serve.rp_evictions);
-  ignore (Atomic.fetch_and_add sv_flushes r.Serve.rp_flushes)
-
-let serve_stats () =
-  {
-    jobs_served = Atomic.get sv_jobs;
-    dedup_hits = Atomic.get sv_dedup_hits;
-    evictions = Atomic.get sv_evictions;
-    service_flushes = Atomic.get sv_flushes;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* JSON codecs for the on-disk cache. Floats are stored as hexadecimal
@@ -572,12 +517,11 @@ let sdt ~arch ~cfg ~key build =
       cell_span "sdt" ~key fp @@ fun () ->
       let timing = Timing.create arch in
       let rt = Runtime.create ~cfg ~arch ~timing (build ()) in
-      Runtime.run ~max_steps:!max_steps ~mode:!exec_mode rt;
+      Runtime.run ~max_steps:!max_steps ~mode:!mode rt;
       let m = Runtime.machine rt in
       ignore (Atomic.fetch_and_add sim_instrs m.Machine.c.Machine.instructions);
       note_block_stats m;
-      note_adapt_stats (Runtime.stats rt);
-      note_cfi_stats (Runtime.stats rt);
+      note stats_counters (Runtime.stats rt);
       if
         Machine.output m <> nat.n_output
         || m.Machine.checksum <> nat.n_checksum
@@ -609,19 +553,12 @@ let sdt ~arch ~cfg ~key build =
    guest checksums are mode-invariant. The pool is deliberately NOT
    threaded into [Serve.run] here: the harness parallelises across
    serve specs on the pool, and {!Sdt_par.Pool} is not reentrant. *)
-let mode_tag () =
-  match !exec_mode with
-  | `Step -> "step"
-  | `Block -> "block"
-  | `Block_nochain -> "block-nochain"
-  | `Trace -> "trace"
-
 let serve spec =
-  let fp = Serve.fingerprint spec ^ "|mode=" ^ mode_tag () in
+  let fp = Serve.fingerprint spec ^ "|mode=" ^ exec_mode_name !mode in
   Memo.find serve_memo fp (fun () ->
       cell_span "serve" ~key:(Serve.describe spec) fp @@ fun () ->
-      let res = Serve.run ~mode:!exec_mode spec in
+      let res = Serve.run ~mode:!mode spec in
       ignore (Atomic.fetch_and_add sim_instrs res.Serve.res_instrs);
       let r = Serve.report_of_result res in
-      note_serve_stats r;
+      note serve_counters r;
       r)

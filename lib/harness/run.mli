@@ -89,73 +89,47 @@ val cache_stats : unit -> cache_stats
 val max_steps : int ref
 (** Step budget per run (default 2 * 10^9). *)
 
-val set_exec_mode : [ `Step | `Block | `Block_nochain | `Trace ] -> unit
+type exec_mode = [ `Step | `Block | `Block_nochain | `Trace ]
+
+val exec_mode_of_string : string -> (exec_mode, string) result
+(** Parse [step] | [block] | [block-nochain] | [trace]; the error
+    message names the valid values. *)
+
+val exec_mode_name : exec_mode -> string
+(** Inverse of {!exec_mode_of_string}. *)
+
+val set_exec_mode : exec_mode -> unit
 (** Interpreter loop used for simulated cells: [`Block] (default)
     executes through the compiled basic-block cache with direct block
     chaining, [`Block_nochain] the same without chain links (every
     transition re-probes the cache), [`Trace] the block cache plus the
     hot-trace superblock tier, [`Step] the classic per-instruction
     loop. All four produce bit-identical measured results; the switch
-    exists for A/B host-time comparison ([bench --perf-exec]) and
-    differential testing. The default can also be overridden with the
-    [SDT_EXEC_MODE] environment variable
-    ([step] | [block] | [block-nochain] | [trace]), which the CI matrix
-    uses to re-run the whole suite per mode. *)
+    exists for A/B host-time comparison ([bench/e2e]) and differential
+    testing. The default can also be overridden with the
+    [SDT_EXEC_MODE] environment variable, which the CI matrix uses to
+    re-run the whole suite per mode; an unknown value prints a message
+    and exits 2 at startup. *)
+
+val exec_mode : unit -> exec_mode
+(** The loop currently in force: [SDT_EXEC_MODE] until
+    {!set_exec_mode} changes it. *)
 
 val simulated_instructions : unit -> int
 (** Guest instructions executed by actually-simulated runs (memoized
     cells add nothing) since process start; accumulated atomically
     across pool domains. Feeds the bench MIPS report. *)
 
-type block_cache_stats = {
-  decodes : int;  (** blocks compiled, including recompilations *)
-  invalidations : int;  (** recompilations forced by a generation bump *)
-  chain_hits : int;  (** transitions served by a valid chain link *)
-  chain_severs : int;  (** links found stale and dropped *)
-  trace_compiles : int;  (** superblocks formed *)
-  trace_entries : int;  (** dispatches that entered a valid trace *)
-  side_exits : int;  (** trace guard divergences *)
-  trace_severs : int;  (** traces dropped by a generation bump *)
-}
-
-type adapt_stats = {
-  promotions : int;  (** adaptive tier promotions taken *)
-  demotions : int;  (** adaptive tier demotions taken *)
-  repatches : int;  (** emitted exit transfers re-patched *)
-}
-
-val adapt_stats : unit -> adapt_stats
-(** Adaptive-mechanism transition activity summed over every
-    actually-simulated SDT cell (memoized cells add nothing) since
-    process start, accumulated atomically across pool domains. All
-    zero unless some cell ran {!Sdt_core.Config.Adaptive}. *)
-
-type cfi_stats = {
-  checks : int;  (** CFI membership tests run *)
-  violations : int;  (** pad mismatches, audit failures, unmatched returns *)
-  xcalls : int;  (** mediated cross-compartment transfers *)
-}
-
-val cfi_stats : unit -> cfi_stats
-(** CFI policy-stage activity summed over every actually-simulated SDT
-    cell since process start, accumulated atomically across pool
-    domains. All zero when every cell ran [Cfi_none]. *)
-
-val block_cache_stats : unit -> block_cache_stats
-(** Block-cache activity summed over every actually-simulated machine
-    (native and SDT; memoized cells add nothing) since process start,
-    accumulated atomically across pool domains. All zero under
-    [`Step]; the trace-tier counters are nonzero only under
-    [`Trace]. *)
-
-type serve_stats = {
-  jobs_served : int;  (** guest jobs completed by service runs *)
-  dedup_hits : int;  (** translations served as cross-tenant copies *)
-  evictions : int;  (** shared-store entries evicted *)
-  service_flushes : int;  (** tenant fragment-cache flushes *)
-}
-
-val serve_stats : unit -> serve_stats
-(** Serving-layer activity summed over every actually-simulated service
-    run (memoized runs add nothing) since process start, accumulated
-    atomically across pool domains. All zero unless {!serve} ran. *)
+val counters : unit -> (string * int) list
+(** Activity counters summed over every actually-simulated run
+    (memoized cells add nothing) since process start, accumulated
+    atomically across pool domains, in a fixed order: the block cache
+    ([block_decodes], [block_invalidations], [chain_hits],
+    [chain_severs], and the trace tier's [trace_compiles],
+    [trace_entries], [side_exits], [trace_severs]; native and SDT
+    machines alike, all zero under [`Step]), the adaptive mechanism
+    ([adapt_promotions], [adapt_demotions], [adapt_repatches]), the
+    CFI policy stage ([cfi_checks], [cfi_violations], [cfi_xcalls]),
+    and the serving layer ([serve_jobs], [serve_dedup_hits],
+    [serve_evictions], [serve_flushes]). The bench JSON reports their
+    per-experiment deltas. *)

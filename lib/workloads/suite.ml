@@ -32,8 +32,8 @@ let all =
   ]
 
 (* registered by name but kept out of [all]: the F1-F11 grids (and
-   their perf baselines) sweep [all], and a new suite member would
-   silently reshape every geomean *)
+   the benchmark's table digests) sweep [all], and a new suite member
+   would silently reshape every geomean *)
 let extra = [ entry W_sfi.name W_sfi.description W_sfi.build 3_000 25_000 ]
 
 let find name = List.find_opt (fun e -> e.name = name) (all @ extra)

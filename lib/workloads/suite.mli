@@ -24,7 +24,7 @@ val all : entry list
 
 val extra : entry list
 (** Workloads findable by name but excluded from [all] (and so from
-    every F1–F11 grid and its baselines): currently the [sfi]
+    every F1–F11 grid and its table digests): currently the [sfi]
     plugin-host compartment workload the F12 CFI experiment uses. *)
 
 val find : string -> entry option

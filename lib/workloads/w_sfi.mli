@@ -2,8 +2,8 @@
     capability table into plugin entry points spread across the text
     segment, so compartment CFI policies see dominant cross-compartment
     indirect call/return traffic. Registered in {!Suite.extra}, not
-    {!Suite.all} — the F1–F11 grids and their baselines are built over
-    the SPEC stand-ins only. *)
+    {!Suite.all} — the F1–F11 grids and their table digests are built
+    over the SPEC stand-ins only. *)
 
 val name : string
 val description : string

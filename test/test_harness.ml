@@ -10,9 +10,10 @@ module Summary = Sdt_harness.Summary
 module Table = Sdt_harness.Table
 module Experiments = Sdt_harness.Experiments
 module Meta = Sdt_harness.Meta
-module Perfgate = Sdt_harness.Perfgate
 module Jsonw = Sdt_observe.Jsonw
 module Pool = Sdt_par.Pool
+module Serve = Sdt_serve.Serve
+module Synthetic = Sdt_workloads.Synthetic
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -305,121 +306,70 @@ let experiment_cases =
     Experiments.experiments
 
 (* ------------------------------------------------------------------ *)
-(* The perf-regression gate, against synthetic baselines: both the
-   clean-pass path and the injected-slowdown path with its named
-   offender, plus the file-level pieces (baseline loading, trajectory
-   appending) through a temp dir. *)
+(* Exec mode and the activity counters *)
 
-let synthetic_baseline alist id = List.assoc_opt id alist
+let test_exec_mode_round_trip () =
+  List.iter
+    (fun m ->
+      let name = Run.exec_mode_name m in
+      check bool ("round-trip " ^ name) true
+        (Run.exec_mode_of_string name = Ok m))
+    [ `Step; `Block; `Block_nochain; `Trace ];
+  check bool "typo rejected" true
+    (Result.is_error (Run.exec_mode_of_string "trce"))
 
-let test_perfgate_best_of () =
-  feq "minimum wins" 0.5 (Perfgate.best_of [ 1.2; 0.5; 0.9 ]);
-  feq "singleton" 2.0 (Perfgate.best_of [ 2.0 ]);
-  match Perfgate.best_of [] with
-  | _ -> Alcotest.fail "empty accepted"
-  | exception Invalid_argument _ -> ()
+(* The BENCH_<id>.json counter schema: bench writes exactly these keys,
+   in this order, as per-experiment deltas of [Run.counters]. *)
+let counter_keys =
+  [
+    "block_decodes"; "block_invalidations"; "chain_hits"; "chain_severs";
+    "trace_compiles"; "trace_entries"; "side_exits"; "trace_severs";
+    "adapt_promotions"; "adapt_demotions"; "adapt_repatches";
+    "cfi_checks"; "cfi_violations"; "cfi_xcalls";
+    "serve_jobs"; "serve_dedup_hits"; "serve_evictions"; "serve_flushes";
+  ]
 
-let test_perfgate_pass_and_fail () =
-  let baseline = synthetic_baseline [ ("T1", 1.0); ("F2", 2.0) ] in
-  (* clean: both within tolerance *)
-  let ok =
-    Perfgate.check ~tolerance:1.5 ~baseline [ ("T1", 1.2); ("F2", 2.9) ]
+let test_counters () =
+  check
+    Alcotest.(list string)
+    "keys and order" counter_keys
+    (List.map fst (Run.counters ()));
+  let delta f =
+    let before = Run.counters () in
+    f ();
+    fun k -> List.assoc k (Run.counters ()) - List.assoc k before
   in
-  check int "no regressions" 0 (List.length (Perfgate.regressions ok));
-  check bool "all ok" true
-    (List.for_all (fun v -> v.Perfgate.v_status = Perfgate.Ok) ok);
-  (* injected slowdown on F2 only: the verdict names the offender *)
-  let bad =
-    Perfgate.check ~tolerance:1.5 ~baseline [ ("T1", 1.2); ("F2", 10.0) ]
+  let saved = Run.exec_mode () in
+  Fun.protect ~finally:(fun () -> Run.set_exec_mode saved) @@ fun () ->
+  (* the block-cache counters are zero under the per-step loop *)
+  Run.set_exec_mode `Block;
+  Run.clear_cache ();
+  let d =
+    delta (fun () ->
+        ignore
+          (Run.sdt ~arch:Arch.arch_a ~cfg:Config.default ~key:"counters"
+             (fun () -> Suite.program (entry "gcc") `Test)))
   in
-  (match Perfgate.regressions bad with
-  | [ v ] ->
-      check Alcotest.string "offender named" "F2" v.Perfgate.v_id;
-      feq "ratio" 5.0 v.Perfgate.v_ratio
-  | l -> Alcotest.failf "expected exactly F2, got %d regressions"
-           (List.length l));
-  (* absolute slack: smoke cells in the noise band never regress *)
-  let tiny =
-    Perfgate.check ~tolerance:1.0 ~abs_slack:0.05
-      ~baseline:(synthetic_baseline [ ("T1", 0.001) ])
-      [ ("T1", 0.04) ]
+  check bool "sdt cell decodes blocks" true (d "block_decodes" > 0);
+  check bool "sdt cell chains blocks" true (d "chain_hits" > 0);
+  let micro =
+    Serve.Micro
+      {
+        Synthetic.ib_sites = 3;
+        targets = 6;
+        fns = 2;
+        recursion_depth = 1;
+        iters = 100;
+        seed = 1;
+      }
   in
-  check int "within slack" 0 (List.length (Perfgate.regressions tiny));
-  (* no baseline is never a failure *)
-  let fresh =
-    Perfgate.check ~tolerance:1.5 ~baseline:(fun _ -> None)
-      [ ("NEW", 9.9) ]
+  let d =
+    delta (fun () ->
+        ignore
+          (Run.serve
+             (Serve.spec ~quantum:10_000 [ Serve.tenant ~jobs:2 "t" micro ])))
   in
-  check bool "no-baseline status" true
-    (List.for_all (fun v -> v.Perfgate.v_status = Perfgate.No_baseline) fresh);
-  check int "no-baseline never regresses" 0
-    (List.length (Perfgate.regressions fresh))
-
-let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sdt_gate_test.%d.%.0f" (Unix.getpid ())
-         (Unix.gettimeofday () *. 1e6))
-  in
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then (
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir))
-    (fun () -> f dir)
-
-let test_perfgate_files () =
-  with_temp_dir (fun dir ->
-      (* baseline loading: present, absent, and garbage files *)
-      Out_channel.with_open_text (Filename.concat dir "BENCH_T1.json")
-        (fun oc -> output_string oc {|{"id":"T1","seconds":1.5}|});
-      Out_channel.with_open_text (Filename.concat dir "BENCH_F9.json")
-        (fun oc -> output_string oc "{not json");
-      check bool "seconds loaded" true
-        (Perfgate.load_baseline ~dir "T1" = Some 1.5);
-      check bool "missing file" true (Perfgate.load_baseline ~dir "F2" = None);
-      check bool "garbage file" true (Perfgate.load_baseline ~dir "F9" = None);
-      (* trajectory: two appended rows, each its own parseable line
-         carrying the provenance record and the regression flag *)
-      let file = Filename.concat dir "trajectory.jsonl" in
-      let meta =
-        Meta.to_json ~jobs:1 ~exec_mode:"block" ~cache:"cold" ()
-      in
-      let verdicts =
-        Perfgate.check ~tolerance:1.5
-          ~baseline:(synthetic_baseline [ ("T1", 1.0) ])
-          [ ("T1", 9.0) ]
-      in
-      let row = Perfgate.trajectory_row ~meta ~tolerance:1.5 verdicts in
-      Perfgate.append_trajectory ~file row;
-      Perfgate.append_trajectory ~file row;
-      let lines =
-        In_channel.with_open_text file In_channel.input_lines
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      check int "one line per gate run" 2 (List.length lines);
-      List.iter
-        (fun line ->
-          match Jsonw.of_string line with
-          | Error e -> Alcotest.failf "unparseable row: %s" e
-          | Ok doc -> (
-              check bool "regressed flag" true
-                (Jsonw.member "regressed" doc = Some (Jsonw.Bool true));
-              (match Jsonw.member "meta" doc with
-              | Some (Jsonw.Obj fields) ->
-                  check bool "provenance has host" true
-                    (List.mem_assoc "host" fields);
-                  check bool "provenance has exec_mode" true
-                    (List.mem_assoc "exec_mode" fields)
-              | _ -> Alcotest.fail "meta shape");
-              match Jsonw.member "experiments" doc with
-              | Some (Jsonw.List [ _ ]) -> ()
-              | _ -> Alcotest.fail "experiments shape"))
-        lines)
+  check int "serve spec counts its jobs" 2 (d "serve_jobs")
 
 let test_meta_provenance () =
   (* running from the build tree, .git is found by walking up *)
@@ -475,15 +425,13 @@ let () =
           Alcotest.test_case "sdt results sane" `Quick test_sdt_result_sane;
           Alcotest.test_case "divergence detected" `Quick test_mismatch_detected;
         ] );
-      ( "perf gate",
+      ( "counters",
         [
-          Alcotest.test_case "best-of" `Quick test_perfgate_best_of;
-          Alcotest.test_case "pass and fail with named offender" `Quick
-            test_perfgate_pass_and_fail;
-          Alcotest.test_case "baselines and trajectory files" `Quick
-            test_perfgate_files;
-          Alcotest.test_case "meta provenance" `Quick test_meta_provenance;
+          Alcotest.test_case "exec mode round-trip" `Quick
+            test_exec_mode_round_trip;
+          Alcotest.test_case "schema and sources" `Quick test_counters;
         ] );
+      ("meta", [ Alcotest.test_case "provenance" `Quick test_meta_provenance ]);
       ( "parallel",
         [
           qt prop_jobs_invariant;
