@@ -9,19 +9,36 @@ exception Fault of { addr : int; kind : string }
    [0 <= w < 2^32], so the sentinel cannot collide with a real decoding. *)
 let not_cached = Inst.Illegal (-1)
 
-(* The decode cache is chunked and lazily allocated: a flat array of
-   one [Inst.t] per word costs 8 bytes per 4 memory bytes up front
-   (tens of megabytes per machine, written at creation and scanned by
-   every major GC), yet only the few dozen kilobytes that hold code are
-   ever fetched. Chunks are [chunk_words] entries; [no_chunk] (the
-   shared empty array) marks a chunk no fetch has touched. *)
-let chunk_bits = 10
+(* Guest memory is paged: [page_size]-byte pages indexed by
+   [addr lsr page_bits]. Every page no write has touched is
+   [zero_page], one shared buffer that is never written, so a fresh
+   10 MiB memory costs a 2,560-entry pointer array instead of a 10 MiB
+   zero-fill — a test-size run touches a few dozen kilobytes of it, and
+   the grid creates over a thousand machines per round. Reads index the
+   table without asking which page they hit; writes compare the page
+   against [zero_page] and swap in a private one first. Machines on
+   different domains all read [zero_page], which is safe only because
+   nothing ever writes it. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let zero_page = Bytes.make page_size '\000'
+
+(* The decode cache is chunked the same way, one chunk per page,
+   allocated on the first fetch from the page: a flat array of one
+   [Inst.t] per word costs 8 bytes per 4 memory bytes up front (tens of
+   megabytes per machine, written at creation and scanned by every
+   major GC), yet only the few dozen kilobytes that hold code are ever
+   fetched. [no_chunk] (the shared empty array) marks a chunk no fetch
+   has touched. *)
+let chunk_bits = page_bits - 2
 let chunk_words = 1 lsl chunk_bits
 let chunk_mask = chunk_words - 1
 let no_chunk : Inst.t array = [||]
 
 type t = {
-  bytes : Bytes.t;
+  size : int;
+  pages : Bytes.t array; (* indexed by address lsr page_bits *)
   decoded : Inst.t array array; (* indexed by word number lsr chunk_bits *)
   (* Block-cache invalidation feed: bumped whenever a store overwrites
      a word whose decoding is currently cached. Every word a decoded
@@ -36,21 +53,40 @@ type t = {
 let fault addr kind = raise (Fault { addr; kind })
 
 let create ~size_bytes =
+  if size_bytes < 0 then invalid_arg "Memory.create";
   let size = (size_bytes + 3) land lnot 3 in
-  let nchunks = ((size / 4) + chunk_mask) lsr chunk_bits in
+  let npages = (size + page_mask) lsr page_bits in
   {
-    bytes = Bytes.make size '\000';
-    decoded = Array.make nchunks no_chunk;
+    size;
+    pages = Array.make npages zero_page;
+    decoded = Array.make npages no_chunk;
     code_gen = ref 1;
   }
 
-let size t = Bytes.length t.bytes
+let size t = t.size
 let code_gen t = !(t.code_gen)
 
 (* The generation lives in a shared cell so the block compiler's store
    guards and chain-link validations read it with one dereference
    instead of a cross-module accessor call per check. *)
 let code_gen_ref t = t.code_gen
+
+let resident_bytes t =
+  Array.fold_left
+    (fun n p -> if p == zero_page then n else n + page_size)
+    0 t.pages
+
+(* The page to write [addr] through: a page still aliasing [zero_page]
+   is replaced by a private zeroed copy first. *)
+let[@inline] page_for_write t addr =
+  let i = addr lsr page_bits in
+  let p = Array.unsafe_get t.pages i in
+  if p != zero_page then p
+  else begin
+    let fresh = Bytes.make page_size '\000' in
+    Array.unsafe_set t.pages i fresh;
+    fresh
+  end
 
 (* Invalidate the cached decoding of word [widx] after a store; if
    there was one, some decoded block may span this word, so bump the
@@ -66,46 +102,59 @@ let[@inline] note_store t widx =
     end
   end
 
+(* Written as [addr > size - 4] rather than [addr + 4 > size]: the sum
+   wraps negative for [addr] near [max_int] and would pass. *)
 let check_word t addr kind =
   if addr land 3 <> 0 then fault addr "align";
-  if addr < 0 || addr + 4 > Bytes.length t.bytes then fault addr kind
+  if addr < 0 || addr > t.size - 4 then fault addr kind
 
 (* Guest memory is little-endian; move aligned words with one 32-bit
-   access (bounds already established by [check_word]) instead of four
-   byte moves. The unsafe 32-bit primitives read/write native order,
-   so byte-swap on a big-endian host. Each branch below is a
-   straight-line chain of int32 primitives: the compiler keeps the
-   intermediate int32 unboxed, which an [if]-join of int32 values
-   would defeat — loads and stores are the hottest ops in the system,
-   and a boxed int32 per access would churn the minor heap. *)
+   access (bounds already established by [check_word]; an aligned word
+   never straddles a page) instead of four byte moves. The unsafe
+   32-bit primitives read/write native order, so byte-swap on a
+   big-endian host. Each branch below is a straight-line chain of int32
+   primitives: the compiler keeps the intermediate int32 unboxed, which
+   an [if]-join of int32 values would defeat — loads and stores are the
+   hottest ops in the system, and a boxed int32 per access would churn
+   the minor heap. *)
 external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
 external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 
+let[@inline] get_word p off =
+  if Sys.big_endian then Int32.to_int (swap32 (get32u p off)) land 0xFFFF_FFFF
+  else Int32.to_int (get32u p off) land 0xFFFF_FFFF
+
 let load_word t addr =
   check_word t addr "load";
-  if Sys.big_endian then
-    Int32.to_int (swap32 (get32u t.bytes addr)) land 0xFFFF_FFFF
-  else Int32.to_int (get32u t.bytes addr) land 0xFFFF_FFFF
+  get_word (Array.unsafe_get t.pages (addr lsr page_bits)) (addr land page_mask)
 
 let store_word t addr w =
   check_word t addr "store";
-  if Sys.big_endian then set32u t.bytes addr (swap32 (Int32.of_int w))
-  else set32u t.bytes addr (Int32.of_int w);
+  let p = page_for_write t addr in
+  if Sys.big_endian then set32u p (addr land page_mask) (swap32 (Int32.of_int w))
+  else set32u p (addr land page_mask) (Int32.of_int w);
   note_store t (addr lsr 2)
 
 let check_byte t addr kind =
-  if addr < 0 || addr >= Bytes.length t.bytes then fault addr kind
+  if addr < 0 || addr >= t.size then fault addr kind
+
+let[@inline] get_byte t addr =
+  Char.code
+    (Bytes.unsafe_get
+       (Array.unsafe_get t.pages (addr lsr page_bits))
+       (addr land page_mask))
 
 let load_byte_u t addr =
   check_byte t addr "load";
-  Char.code (Bytes.unsafe_get t.bytes addr)
+  get_byte t addr
 
 let load_byte_s t addr = Word.sext8 (load_byte_u t addr)
 
 let store_byte t addr v =
   check_byte t addr "store";
-  Bytes.unsafe_set t.bytes addr (Char.unsafe_chr (v land 0xFF));
+  Bytes.unsafe_set (page_for_write t addr) (addr land page_mask)
+    (Char.unsafe_chr (v land 0xFF));
   note_store t (addr lsr 2)
 
 let fetch t addr =
@@ -147,13 +196,33 @@ let read_string t addr =
 
 let write_bytes t addr b =
   let n = Bytes.length b in
-  if addr < 0 || addr + n > Bytes.length t.bytes then fault addr "store";
-  Bytes.blit b 0 t.bytes addr n;
-  let nwords = Bytes.length t.bytes / 4 in
+  if addr < 0 || n > t.size - addr then fault addr "store";
+  let rec copy src a =
+    if src < n then begin
+      let off = a land page_mask in
+      let k = min (n - src) (page_size - off) in
+      Bytes.blit b src (page_for_write t a) off k;
+      copy (src + k) (a + k)
+    end
+  in
+  copy 0 addr;
+  let nwords = t.size / 4 in
   let first = addr lsr 2 and last = (addr + n + 3) lsr 2 in
   for i = first to min (last - 1) (nwords - 1) do
     note_store t i
   done
+
+(* The little-endian word at an in-range address of any alignment; one
+   that straddles two pages is assembled from its bytes. *)
+let word_at t a =
+  let off = a land page_mask in
+  if off <= page_size - 4 then
+    get_word (Array.unsafe_get t.pages (a lsr page_bits)) off
+  else
+    get_byte t a
+    lor (get_byte t (a + 1) lsl 8)
+    lor (get_byte t (a + 2) lsl 16)
+    lor (get_byte t (a + 3) lsl 24)
 
 (* FNV-1a over a word range, folded into OCaml's 63-bit int space.
    Host-side identity for ranges of simulated memory: the serving
@@ -162,20 +231,14 @@ let write_bytes t addr b =
    trusting the guest-content key alone. Collisions at that scale are
    negligible, and a false "hit" is additionally guarded by length. *)
 let digest_range t ~lo ~len =
-  if lo < 0 || len < 0 || lo + len > Bytes.length t.bytes then
-    fault lo "digest";
+  if lo < 0 || len < 0 || len > t.size - lo then fault lo "digest";
   let prime = 0x100000001B3 in
   let h = ref 0x4CB2F29CE484222 in
   let words = len lsr 2 in
   for i = 0 to words - 1 do
-    let w =
-      if Sys.big_endian then
-        Int32.to_int (swap32 (get32u t.bytes (lo + (i * 4)))) land 0xFFFF_FFFF
-      else Int32.to_int (get32u t.bytes (lo + (i * 4))) land 0xFFFF_FFFF
-    in
-    h := (!h lxor w) * prime land max_int
+    h := (!h lxor word_at t (lo + (i * 4))) * prime land max_int
   done;
   for i = words * 4 to len - 1 do
-    h := (!h lxor Char.code (Bytes.get t.bytes (lo + i))) * prime land max_int
+    h := (!h lxor get_byte t (lo + i)) * prime land max_int
   done;
   !h

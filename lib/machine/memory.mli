@@ -1,8 +1,12 @@
 (** Byte-addressable simulated memory with a decoded-instruction cache.
 
-    Memory is flat, little-endian, and shared by application code, data,
-    stack, and the translator's fragment cache and tables — the SDT
-    emits code by storing words here, and the CPU executes it from here.
+    Memory is one little-endian address space shared by application
+    code, data, stack, and the translator's fragment cache and tables —
+    the SDT emits code by storing words here, and the CPU executes it
+    from here. The host backs it with 4 KiB pages allocated on first
+    write: every untouched page aliases one shared zero page, so
+    creating a memory costs a page table, not a zero-fill, and reading
+    untouched memory costs no host memory.
 
     Fetches go through a decode cache so the interpreter does not re-decode
     hot instruction words; any store into a word invalidates that word's
@@ -19,9 +23,19 @@ exception Fault of { addr : int; kind : string }
     ("load", "store", "fetch", "align"). *)
 
 val create : size_bytes:int -> t
-(** Fresh zeroed memory. [size_bytes] is rounded up to a multiple of 4. *)
+(** Fresh memory that reads as zero everywhere. [size_bytes] is
+    rounded up to a multiple of 4. No page is allocated until it is
+    written: creating a memory costs two pointer arrays, the page table
+    and the decode cache, with one entry per 4 KiB.
+    @raise Invalid_argument when [size_bytes] is negative. *)
 
 val size : t -> int
+
+val resident_bytes : t -> int
+(** Host bytes backing the pages written so far: 4096 per page any
+    store, byte store or {!write_bytes} has touched, 0 for a fresh
+    memory however large. Scans the page table; for tests and
+    diagnostics, not the hot path. The decode cache is not counted. *)
 
 val load_word : t -> int -> Word.t
 (** @raise Fault on misaligned or out-of-range address. *)

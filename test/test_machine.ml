@@ -13,6 +13,9 @@ module Memory = Sdt_machine.Memory
 module Machine = Sdt_machine.Machine
 module Syscall = Sdt_machine.Syscall
 module Loader = Sdt_machine.Loader
+module Decode = Sdt_isa.Decode
+module Program = Sdt_isa.Program
+module Suite = Sdt_workloads.Suite
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -37,7 +40,16 @@ let test_memory_faults () =
   check bool "misaligned load" true (faults (fun () -> Memory.load_word m 2));
   check bool "oob load" true (faults (fun () -> Memory.load_word m 4096));
   check bool "negative" true (faults (fun () -> Memory.load_byte_u m (-1)));
-  check bool "oob store" true (faults (fun () -> Memory.store_word m 4094 0))
+  check bool "oob store" true (faults (fun () -> Memory.store_word m 4094 0));
+  (* bounds checks must not wrap: [addr + 4] and [lo + len] overflow
+     near [max_int] and would let the access through unchecked *)
+  let top = max_int - 3 in
+  check bool "load near max_int" true (faults (fun () -> Memory.load_word m top));
+  check bool "store near max_int" true
+    (faults (fun () -> Memory.store_word m top 0));
+  check bool "fetch near max_int" true (faults (fun () -> Memory.fetch m top));
+  check bool "digest of max_int bytes" true
+    (faults (fun () -> Memory.digest_range m ~lo:4 ~len:max_int))
 
 let test_memory_decode_cache_invalidation () =
   let m = Memory.create ~size_bytes:4096 in
@@ -69,6 +81,246 @@ let test_memory_read_string () =
     (match Memory.read_string m 0x400 with
     | exception Memory.Fault _ -> true
     | _ -> false)
+
+(* Pages are allocated on first write, so an eager fill cannot come
+   back unnoticed: reads of untouched memory (including fetches, which
+   fill the decode cache) allocate nothing, and loading a program
+   allocates exactly the pages its segments span. *)
+let test_memory_lazy () =
+  let m = Memory.create ~size_bytes:Loader.default_mem_size in
+  check int "fresh" 0 (Memory.resident_bytes m);
+  let size = Memory.size m in
+  let a = ref 0 in
+  while !a < size do
+    ignore (Memory.load_word m !a);
+    ignore (Memory.load_byte_s m (!a + 1));
+    ignore (Memory.fetch m !a);
+    a := !a + 0x1_0000
+  done;
+  check string "string" "" (Memory.read_string m 0x100);
+  ignore (Memory.digest_range m ~lo:0 ~len:size);
+  check int "after reads" 0 (Memory.resident_bytes m);
+  Memory.store_byte m 0x1001 7;
+  Memory.store_word m 0x1ffc 7;
+  check int "two stores, one page" 4096 (Memory.resident_bytes m);
+  let p = Suite.program (Option.get (Suite.find "gcc")) `Test in
+  let pages = Hashtbl.create 16 in
+  List.iter
+    (fun { Program.base; data } ->
+      let n = Bytes.length data in
+      if n > 0 then
+        for pg = base / 4096 to (base + n - 1) / 4096 do
+          Hashtbl.replace pages pg ()
+        done)
+    p.Program.segments;
+  let loaded = Loader.load p in
+  check bool "program has pages" true (Hashtbl.length pages > 0);
+  check int "loaded: the segments' pages" (4096 * Hashtbl.length pages)
+    (Memory.resident_bytes loaded.Machine.mem)
+
+(* The paged memory against a flat [Bytes] model: random operation
+   sequences on a memory of three pages and twelve bytes (the last page
+   partial) must return the same values, raise the same [Fault] kind at
+   the same address, and leave the same contents. A second, fresh
+   memory must still read as zero afterwards: a write through the
+   shared zero page would show there. *)
+let page = 4096
+let model_size = (3 * page) + 12
+
+type mem_op =
+  | Load_word of int
+  | Store_word of int * int
+  | Load_byte of int
+  | Store_byte of int * int
+  | Write_bytes of int * string
+  | Read_string of int
+  | Digest of int * int
+  | Fetch of int
+
+let show_mem_op = function
+  | Load_word a -> Printf.sprintf "load_word %d" a
+  | Store_word (a, w) -> Printf.sprintf "store_word %d %#x" a w
+  | Load_byte a -> Printf.sprintf "load_byte %d" a
+  | Store_byte (a, v) -> Printf.sprintf "store_byte %d %#x" a v
+  | Write_bytes (a, s) ->
+      Printf.sprintf "write_bytes %d (%d bytes)" a (String.length s)
+  | Read_string a -> Printf.sprintf "read_string %d" a
+  | Digest (lo, len) -> Printf.sprintf "digest ~lo:%d ~len:%d" lo len
+  | Fetch a -> Printf.sprintf "fetch %d" a
+
+let model_fault addr kind = raise (Memory.Fault { addr; kind })
+
+let model_check_word a kind =
+  if a land 3 <> 0 then model_fault a "align";
+  if a < 0 || a + 4 > model_size then model_fault a kind
+
+let model_check_byte a kind =
+  if a < 0 || a >= model_size then model_fault a kind
+
+let model_word flat a =
+  Int32.to_int (Bytes.get_int32_le flat a) land 0xFFFF_FFFF
+
+let model_load_byte flat a =
+  model_check_byte a "load";
+  Char.code (Bytes.get flat a)
+
+let model_read_string flat a =
+  let buf = Buffer.create 16 in
+  let rec go a =
+    let c = model_load_byte flat a in
+    if c <> 0 then begin
+      if c >= 0x80 then model_fault a "string";
+      Buffer.add_char buf (Char.chr c);
+      go (a + 1)
+    end
+  in
+  go a;
+  Buffer.contents buf
+
+(* FNV-1a, written out over the flat model *)
+let model_digest flat lo len =
+  if lo < 0 || len < 0 || lo + len > model_size then model_fault lo "digest";
+  let h = ref 0x4CB2F29CE484222 in
+  let mix v = h := (!h lxor v) * 0x100000001B3 land max_int in
+  for i = 0 to (len / 4) - 1 do
+    mix (model_word flat (lo + (4 * i)))
+  done;
+  for i = len / 4 * 4 to len - 1 do
+    mix (Char.code (Bytes.get flat (lo + i)))
+  done;
+  !h
+
+let run_model flat = function
+  | Load_word a ->
+      model_check_word a "load";
+      string_of_int (model_word flat a)
+  | Store_word (a, w) ->
+      model_check_word a "store";
+      Bytes.set_int32_le flat a (Int32.of_int w);
+      ""
+  | Load_byte a ->
+      let u = model_load_byte flat a in
+      Printf.sprintf "%d/%d" u (Word.sext8 u)
+  | Store_byte (a, v) ->
+      model_check_byte a "store";
+      Bytes.set flat a (Char.chr v);
+      ""
+  | Write_bytes (a, s) ->
+      if a < 0 || a + String.length s > model_size then model_fault a "store";
+      Bytes.blit_string s 0 flat a (String.length s);
+      ""
+  | Read_string a -> model_read_string flat a
+  | Digest (lo, len) -> string_of_int (model_digest flat lo len)
+  | Fetch a ->
+      model_check_word a "fetch";
+      Inst.to_string (Decode.inst (model_word flat a))
+
+let run_paged m = function
+  | Load_word a -> string_of_int (Memory.load_word m a)
+  | Store_word (a, w) ->
+      Memory.store_word m a w;
+      ""
+  | Load_byte a ->
+      Printf.sprintf "%d/%d" (Memory.load_byte_u m a) (Memory.load_byte_s m a)
+  | Store_byte (a, v) ->
+      Memory.store_byte m a v;
+      ""
+  | Write_bytes (a, s) ->
+      Memory.write_bytes m a (Bytes.of_string s);
+      ""
+  | Read_string a -> Memory.read_string m a
+  | Digest (lo, len) -> string_of_int (Memory.digest_range m ~lo ~len)
+  | Fetch a -> Inst.to_string (Memory.fetch m a)
+
+let outcome f =
+  match f () with
+  | v -> "= " ^ v
+  | exception Memory.Fault { addr; kind } ->
+      Printf.sprintf "fault %s at %d" kind addr
+
+let qcheck_paged_vs_flat =
+  let open QCheck in
+  let gen_op =
+    Gen.(
+      let addr =
+        frequency
+          [
+            (6, int_range 0 (model_size - 1));
+            (* straddling each page boundary *)
+            ( 3,
+              map2 (fun p d -> (p * page) + d) (int_range 1 3) (int_range (-6) 6)
+            );
+            (1, int_range (model_size - 6) (model_size + 6));
+            (1, int_range (-6) (-1));
+          ]
+      in
+      let word_addr =
+        frequency [ (8, map (fun a -> a land lnot 3) addr); (1, addr) ]
+      in
+      let byte =
+        frequency
+          [ (2, return 0); (5, int_range 1 0x7F); (1, int_range 0x80 0xFF) ]
+      in
+      let word =
+        map4
+          (fun a b c d -> a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24))
+          byte byte byte byte
+      in
+      let bytes n = string_size ~gen:(map Char.chr byte) (return n) in
+      frequency
+        [
+          (3, map (fun a -> Load_word a) word_addr);
+          (3, map2 (fun a w -> Store_word (a, w)) word_addr word);
+          (2, map (fun a -> Load_byte a) addr);
+          (3, map2 (fun a v -> Store_byte (a, v)) addr byte);
+          ( 1,
+            let* a = addr in
+            let* n =
+              frequency [ (3, int_range 0 16); (2, int_range 0 (page + 64)) ]
+            in
+            map (fun s -> Write_bytes (a, s)) (bytes n) );
+          (2, map (fun a -> Read_string a) addr);
+          ( 2,
+            map2
+              (fun lo len -> Digest (lo, len))
+              addr
+              (frequency
+                 [
+                   (4, int_range 0 64);
+                   (3, int_range 0 ((2 * page) + 16));
+                   (1, int_range (-4) (-1));
+                 ])
+          );
+          (2, map (fun a -> Fetch a) word_addr);
+        ])
+  in
+  let arb =
+    make
+      ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+      ~shrink:Shrink.list
+      Gen.(list_size (int_range 1 60) gen_op)
+  in
+  Test.make ~count:300 ~name:"paged memory matches a flat model" arb (fun ops ->
+      let m = Memory.create ~size_bytes:model_size in
+      let flat = Bytes.make model_size '\000' in
+      List.iter
+        (fun op ->
+          let got = outcome (fun () -> run_paged m op)
+          and want = outcome (fun () -> run_model flat op) in
+          if got <> want then
+            Test.fail_reportf "%s: paged %s, flat %s" (show_mem_op op) got want)
+        ops;
+      for a = 0 to model_size - 1 do
+        if Memory.load_byte_u m a <> Char.code (Bytes.get flat a) then
+          Test.fail_reportf "byte %d differs after the sequence" a
+      done;
+      let fresh = Memory.create ~size_bytes:model_size in
+      for a = 0 to model_size - 1 do
+        if Memory.load_byte_u fresh a <> 0 then
+          Test.fail_reportf "fresh memory reads %d at %d"
+            (Memory.load_byte_u fresh a) a
+      done;
+      Memory.resident_bytes fresh = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Syscall *)
@@ -418,6 +670,8 @@ let () =
           Alcotest.test_case "decode cache invalidation" `Quick
             test_memory_decode_cache_invalidation;
           Alcotest.test_case "strings" `Quick test_memory_read_string;
+          Alcotest.test_case "pages allocated on first write" `Quick test_memory_lazy;
+          QCheck_alcotest.to_alcotest qcheck_paged_vs_flat;
         ] );
       ("syscall", [ Alcotest.test_case "checksum mix" `Quick test_checksum_mix ]);
       ( "machine",
