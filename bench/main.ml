@@ -3,17 +3,15 @@
    performance is measured end to end by bench/e2e/sdtbench.exe.
 
    Each experiment declares its measurement grid as data; the harness
-   fans the not-yet-cached cells out over a Domain worker pool
-   (--jobs N), then assembles the tables from the result memo — output
-   is byte-identical for every N. With --cache DIR, simulated cells
-   also persist to disk and later invocations skip them.
+   fans the not-yet-memoised cells out over a Domain worker pool
+   (--jobs N), then assembles the tables from the in-process result
+   memo — output is byte-identical for every N.
 
    Usage:
      dune exec bench/main.exe                 -- all experiments, ref size
      dune exec bench/main.exe -- --size test  -- fast smoke sizes
      dune exec bench/main.exe -- --only F2,F8 -- a subset
      dune exec bench/main.exe -- --jobs 4     -- parallel evaluation
-     dune exec bench/main.exe -- --cache DIR  -- on-disk result cache
      dune exec bench/main.exe -- --json out/  -- machine-readable results
 *)
 
@@ -31,7 +29,6 @@ type options = {
   mutable csv_dir : string option;
   mutable json_dir : string option;
   mutable jobs : int;
-  mutable cache_dir : string option;
   mutable exec_mode : Run.exec_mode;
   mutable telemetry : string option;
 }
@@ -79,10 +76,6 @@ let specs (o : options) =
         | _ ->
             Printf.eprintf "--jobs: expected a non-negative integer, got %S\n" v;
             exit 2 );
-    ( "--cache",
-      "DIR",
-      "persist simulation results to DIR and reuse them across runs",
-      fun v -> o.cache_dir <- Some v );
     ( "--exec-mode",
       "step|block|block-nochain|trace",
       "interpreter loop for simulated cells (default SDT_EXEC_MODE, else \
@@ -120,7 +113,6 @@ let parse_args () =
       csv_dir = None;
       json_dir = None;
       jobs = 1;
-      cache_dir = None;
       exec_mode = Run.exec_mode ();
       telemetry = None;
     }
@@ -205,9 +197,8 @@ let experiment_json (e : Experiments.experiment) size ~jobs seconds
 let now = Unix.gettimeofday
 
 (* Evaluate the grid through the pool, then assemble the tables (all
-   cache lookups by construction). A cell is a "cache hit" when the
-   memo already held it — from an earlier experiment in this run, or
-   from the on-disk cache of a previous one. *)
+   memo lookups by construction). A cell is a "cache hit" when the
+   memo already held it from an earlier experiment in this run. *)
 let run_one pool size (e : Experiments.experiment) =
   let s0 = (Run.cache_stats ()).Run.simulated in
   let i0 = Run.simulated_instructions () in
@@ -228,10 +219,15 @@ let run_one pool size (e : Experiments.experiment) =
         List.map2 (fun (k, a) (_, b) -> (k, b - a)) k0 (Run.counters ());
     } )
 
+let rec mkdir_p dir =
+  if dir <> "" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+  end
+
 let run_experiments pool size csv_dir json_dir exps =
-  let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 in
-  Option.iter ensure_dir csv_dir;
-  Option.iter ensure_dir json_dir;
+  Option.iter mkdir_p csv_dir;
+  Option.iter mkdir_p json_dir;
   let total_cells = ref 0 and total_sim = ref 0 and t_start = now () in
   List.iter
     (fun (e : Experiments.experiment) ->
@@ -277,12 +273,6 @@ let run_experiments pool size csv_dir json_dir exps =
     (now () -. t_start) (Pool.jobs pool) !total_cells !total_sim
     (!total_cells - !total_sim)
 
-let rec mkdir_p dir =
-  if dir <> "" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 (* --telemetry DIR: install the global sink before any work and dump
    the trace on exit. Registered with at_exit so the files land even
    when a run fails. *)
@@ -296,10 +286,7 @@ let dump_telemetry (o : options) dir sink =
   Out_channel.with_open_text (Filename.concat dir "RUN_META.json") (fun oc ->
       Jsonw.to_channel oc
         (Meta.to_json ~jobs:o.jobs ~exec_mode:(Run.exec_mode_name o.exec_mode)
-           ~cache:
-             (match o.cache_dir with
-             | None -> "memory"
-             | Some d -> "disk:" ^ d)
+           ~cache:"memory"
            ~extra:
              [
                ( "size",
@@ -332,12 +319,10 @@ let () =
       Telemetry.install sink;
       at_exit (fun () -> dump_telemetry o dir sink)
   | None -> ());
-  Run.set_cache_dir o.cache_dir;
   Printf.printf
     "SDT indirect-branch mechanism evaluation (%s size, %d experiments, %d \
-     jobs%s)\n\n%!"
+     jobs)\n\n%!"
     (match o.size with `Test -> "test" | `Ref -> "ref")
-    (List.length exps) o.jobs
-    (match o.cache_dir with None -> "" | Some d -> Printf.sprintf ", cache %s" d);
+    (List.length exps) o.jobs;
   Pool.with_pool ~jobs:o.jobs (fun pool ->
       run_experiments pool o.size o.csv_dir o.json_dir exps)

@@ -93,12 +93,25 @@ let block_stats_json m =
           ("trace_aborts", Jsonw.Int s.Sdt_machine.Block.st_trace_aborts);
         ]
 
+(* Unreadable or malformed input ends the run like a bad flag: one
+   line, exit 2. *)
 let load_program file workload size =
   match (file, workload) with
-  | Some path, None ->
-      if Filename.check_suffix path ".via" then
-        Sdt_isa.Assembler.assemble_file path
-      else Sdt_isa.Image.load path
+  | Some path, None -> (
+      try
+        if Filename.check_suffix path ".via" then
+          Sdt_isa.Assembler.assemble_file path
+        else Sdt_isa.Image.load path
+      with
+      | Sdt_isa.Assembler.Error { line; msg } ->
+          Printf.eprintf "%s:%d: %s\n" path line msg;
+          exit 2
+      | Sdt_isa.Image.Error msg ->
+          Printf.eprintf "%s: %s\n" path msg;
+          exit 2
+      | Sys_error msg ->
+          prerr_endline msg;
+          exit 2)
   | None, Some name -> (
       match Suite.find name with
       | Some e -> Suite.program e size
@@ -422,6 +435,18 @@ let run_serve tenants size arch cfg exec_mode exec_mode_name policy_name bound
     stats_json;
   0
 
+(* A guest that faults or breaks the machine ends the run with one
+   line and exit 1. *)
+let guest_errors f =
+  match f () with
+  | code -> code
+  | exception Sdt_machine.Memory.Fault { addr; kind } ->
+      Printf.eprintf "guest fault: %s at %#x\n" kind addr;
+      1
+  | exception (Machine.Error msg | Runtime.Error msg) ->
+      Printf.eprintf "guest error: %s\n" msg;
+      1
+
 let run file workload size_name native arch_name mech ibtc_entries
     sieve_buckets inline miss_policy returns pred no_link traces ways
     profile_ib shepherd cfi_name show_stats trace_steps dump_frags max_steps
@@ -465,6 +490,7 @@ let run file workload size_name native arch_name mech ibtc_entries
             Printf.eprintf "--cfi: %s\n" msg;
             exit 2)
   in
+  guest_errors @@ fun () ->
   match serve_tenants with
   | Some tenants ->
       let cfg =
@@ -982,7 +1008,18 @@ let serve_schedule =
 let cmd =
   let doc = "run VIA programs natively or under the software dynamic translator" in
   Cmd.v
-    (Cmd.info "via_run" ~doc)
+    (Cmd.info "via_run" ~doc
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "when the guest faults (a bad memory access), breaks the \
+               machine (an illegal instruction, the step limit) or the \
+               translator, or an output file cannot be written."
+         :: Cmd.Exit.info 2
+              ~doc:
+                "on a bad option value or an unreadable or malformed \
+                 input file."
+         :: Cmd.Exit.defaults))
     Term.(
       const run $ file $ workload $ size_name $ native $ arch_name $ mech
       $ ibtc_entries $ sieve_buckets $ inline $ miss_policy $ returns $ pred

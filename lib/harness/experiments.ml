@@ -96,7 +96,7 @@ let evaluate ?pool size e =
   let specs =
     List.filter
       (fun s ->
-        let fp = Serve.fingerprint s in
+        let fp = Fingerprint.of_value s in
         if Hashtbl.mem serve_seen fp then false
         else begin
           Hashtbl.add serve_seen fp ();

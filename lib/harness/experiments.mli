@@ -37,12 +37,14 @@ type experiment = {
 }
 
 val evaluate : ?pool:Sdt_par.Pool.t -> size -> experiment -> int
-(** Simulate every not-yet-cached cell of the experiment's grid —
-    through [pool] when given, serially otherwise — and return the
-    number of {e unique} cells in the grid. Because results land in
-    {!Run}'s memo keyed by canonical fingerprints, table assembly after
-    [evaluate] is identical for every [jobs] count: the pool only
-    decides who simulates, never what is reported. *)
+(** Simulate every not-yet-memoised cell and service spec of the
+    experiment — through [pool] when given, serially otherwise — and
+    return the number of {e unique} cells plus unique specs, two being
+    the same when {!Sdt_par.Fingerprint} gives them the same key (equal
+    values). Because results land in {!Run}'s memo under those keys,
+    table assembly after [evaluate] is identical for every [jobs]
+    count: the pool only decides who simulates, never what is
+    reported. *)
 
 val table_ib_characteristics : size -> Table.t list
 (** T1: dynamic indirect-branch characteristics of the suite. *)

@@ -2,7 +2,7 @@
     telemetry dump and embedded in the [sdtbench --json] results.
 
     A perf number without its provenance (which commit, which host,
-    how many workers, warm or cold cache, which execution mode) can't
+    how many workers, which memo state, which execution mode) can't
     be compared to anything; this record pins all of it. *)
 
 val git_sha : unit -> string option
@@ -28,5 +28,7 @@ val to_json :
   unit ->
   Sdt_observe.Jsonw.t
 (** The provenance object: [git_sha] (or [null]), [host], [jobs],
-    [exec_mode], [cache] (e.g. ["cold"] / ["warm"] / ["disabled"]),
-    [unix_time] (whole seconds), plus any [extra] fields. *)
+    [exec_mode], [cache], [unix_time] (whole seconds), plus any [extra]
+    fields. [cache] names the state of the in-process result memo:
+    ["memory"] from [bench/main.exe] (cells shared across the run's
+    experiments), ["cold"] from [sdtbench] (cleared every round). *)

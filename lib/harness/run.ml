@@ -8,7 +8,6 @@ module Stats = Sdt_core.Stats
 module Runtime = Sdt_core.Runtime
 module Fingerprint = Sdt_par.Fingerprint
 module Memo = Sdt_par.Memo
-module Jsonw = Sdt_observe.Jsonw
 module Serve = Sdt_serve.Serve
 
 type native = {
@@ -147,333 +146,29 @@ let sim_instrs = Atomic.make 0
 let simulated_instructions () = Atomic.get sim_instrs
 
 (* ------------------------------------------------------------------ *)
-(* JSON codecs for the on-disk cache. Floats are stored as hexadecimal
-   float literals ("%h"), which round-trip bit-exactly — a warm cache
-   must reproduce a cold run to the byte, and a decimal detour would
-   turn table cells that sit on a rounding boundary into coin flips. *)
+(* The memo. Keys are digests of the values a run depends on
+   ({!Fingerprint.of_value}): every field of the architecture, the
+   configuration or the service spec is in the key, so two runs can
+   alias only when they are the same run. *)
 
-let json_float f = Jsonw.Str (Printf.sprintf "%h" f)
-
-let float_of_json = function
-  | Jsonw.Str s -> float_of_string_opt s
-  | Jsonw.Float f -> Some f
-  | Jsonw.Int i -> Some (float_of_int i)
-  | _ -> None
-
-let int_of_json = function Jsonw.Int i -> Some i | _ -> None
-let str_of_json = function Jsonw.Str s -> Some s | _ -> None
-
-let native_to_json n =
-  Jsonw.Obj
-    [
-      ("instrs", Jsonw.Int n.n_instrs);
-      ("cycles", Jsonw.Int n.n_cycles);
-      ("ijumps", Jsonw.Int n.n_ijumps);
-      ("icalls", Jsonw.Int n.n_icalls);
-      ("returns", Jsonw.Int n.n_returns);
-      ("cond", Jsonw.Int n.n_cond);
-      ("output", Jsonw.Str n.n_output);
-      ("checksum", Jsonw.Int n.n_checksum);
-    ]
-
-let native_of_json doc =
-  let ( let* ) = Option.bind in
-  let field k conv = Option.bind (Jsonw.member k doc) conv in
-  let* n_instrs = field "instrs" int_of_json in
-  let* n_cycles = field "cycles" int_of_json in
-  let* n_ijumps = field "ijumps" int_of_json in
-  let* n_icalls = field "icalls" int_of_json in
-  let* n_returns = field "returns" int_of_json in
-  let* n_cond = field "cond" int_of_json in
-  let* n_output = field "output" str_of_json in
-  let* n_checksum = field "checksum" int_of_json in
-  Some
-    {
-      n_instrs;
-      n_cycles;
-      n_ijumps;
-      n_icalls;
-      n_returns;
-      n_cond;
-      n_output;
-      n_checksum;
-    }
-
-let stats_to_json (s : Stats.t) =
-  Jsonw.Obj (List.map (fun (k, v) -> (k, Jsonw.Int v)) (Stats.to_assoc s))
-
-let stats_of_json doc =
-  match doc with
-  | Jsonw.Obj _ ->
-      let s = Stats.create () in
-      let g k =
-        match Jsonw.member k doc with Some (Jsonw.Int v) -> v | _ -> 0
-      in
-      s.Stats.blocks_translated <- g "blocks_translated";
-      s.Stats.insts_translated <- g "insts_translated";
-      s.Stats.links <- g "links";
-      s.Stats.dispatch_entries <- g "dispatch_entries";
-      s.Stats.ibtc_misses_full <- g "ibtc_misses_full";
-      s.Stats.ibtc_misses_fast <- g "ibtc_misses_fast";
-      s.Stats.ibtc_tables <- g "ibtc_tables";
-      s.Stats.sieve_misses <- g "sieve_misses";
-      s.Stats.sieve_stubs <- g "sieve_stubs";
-      s.Stats.retcache_fallbacks <- g "retcache_fallbacks";
-      s.Stats.shadow_fallbacks <- g "shadow_fallbacks";
-      s.Stats.pred_fills <- g "pred_fills";
-      s.Stats.pred_exhausted_sites <- g "pred_exhausted_sites";
-      s.Stats.flushes <- g "flushes";
-      s.Stats.ib_sites <- g "ib_sites";
-      s.Stats.adapt_promotions <- g "adapt_promotions";
-      s.Stats.adapt_demotions <- g "adapt_demotions";
-      s.Stats.adapt_repatches <- g "adapt_repatches";
-      s.Stats.dedup_hits <- g "dedup_hits";
-      s.Stats.service_evictions <- g "service_evictions";
-      s.Stats.cfi_checks <- g "cfi_checks";
-      s.Stats.cfi_validations <- g "cfi_validations";
-      s.Stats.cfi_violations <- g "cfi_violations";
-      s.Stats.cfi_xcalls <- g "cfi_xcalls";
-      Some s
-  | _ -> None
-
-let sdt_to_json s =
-  Jsonw.Obj
-    [
-      ("cycles", Jsonw.Int s.s_cycles);
-      ("instrs", Jsonw.Int s.s_instrs);
-      ("runtime_cycles", Jsonw.Int s.s_runtime_cycles);
-      ("icache_misses", Jsonw.Int s.s_icache_misses);
-      ("dcache_misses", Jsonw.Int s.s_dcache_misses);
-      ("cond_misp", Jsonw.Int s.s_cond_misp);
-      ("ind_misp", Jsonw.Int s.s_ind_misp);
-      ("ras_misp", Jsonw.Int s.s_ras_misp);
-      ("code_bytes", Jsonw.Int s.s_code_bytes);
-      ("stats", stats_to_json s.s_stats);
-      ( "mech",
-        Jsonw.List
-          (List.map
-             (fun (k, v) -> Jsonw.List [ Jsonw.Str k; json_float v ])
-             s.s_mech) );
-      ("slowdown", json_float s.slowdown);
-    ]
-
-let sdt_of_json doc =
-  let ( let* ) = Option.bind in
-  let field k conv = Option.bind (Jsonw.member k doc) conv in
-  let* s_cycles = field "cycles" int_of_json in
-  let* s_instrs = field "instrs" int_of_json in
-  let* s_runtime_cycles = field "runtime_cycles" int_of_json in
-  let* s_icache_misses = field "icache_misses" int_of_json in
-  let* s_dcache_misses = field "dcache_misses" int_of_json in
-  let* s_cond_misp = field "cond_misp" int_of_json in
-  let* s_ind_misp = field "ind_misp" int_of_json in
-  let* s_ras_misp = field "ras_misp" int_of_json in
-  let* s_code_bytes = field "code_bytes" int_of_json in
-  let* s_stats = field "stats" stats_of_json in
-  let* mech_items =
-    match Jsonw.member "mech" doc with Some (Jsonw.List l) -> Some l | _ -> None
-  in
-  let* s_mech =
-    List.fold_right
-      (fun item acc ->
-        let* acc = acc in
-        match item with
-        | Jsonw.List [ Jsonw.Str k; v ] ->
-            let* f = float_of_json v in
-            Some ((k, f) :: acc)
-        | _ -> None)
-      mech_items (Some [])
-  in
-  let* slowdown = field "slowdown" float_of_json in
-  Some
-    {
-      s_cycles;
-      s_instrs;
-      s_runtime_cycles;
-      s_icache_misses;
-      s_dcache_misses;
-      s_cond_misp;
-      s_ind_misp;
-      s_ras_misp;
-      s_code_bytes;
-      s_stats;
-      s_mech;
-      slowdown;
-    }
-
-let tenant_line_to_json (t : Serve.tenant_line) =
-  Jsonw.Obj
-    [
-      ("name", Jsonw.Str t.Serve.tl_name);
-      ("jobs", Jsonw.Int t.Serve.tl_jobs);
-      ("checksum", Jsonw.Int t.Serve.tl_checksum);
-      ("mean_latency", json_float t.Serve.tl_mean_latency);
-      ("p99", json_float t.Serve.tl_p99);
-      ("dedup_hits", Jsonw.Int t.Serve.tl_dedup_hits);
-      ("flush_marks", Jsonw.Int t.Serve.tl_flush_marks);
-      ("cfi_checks", Jsonw.Int t.Serve.tl_cfi_checks);
-      ("cfi_violations", Jsonw.Int t.Serve.tl_cfi_violations);
-      ("cfi_elided", Jsonw.Int t.Serve.tl_cfi_elided);
-    ]
-
-let tenant_line_of_json doc =
-  let ( let* ) = Option.bind in
-  let field k conv = Option.bind (Jsonw.member k doc) conv in
-  let* tl_name = field "name" str_of_json in
-  let* tl_jobs = field "jobs" int_of_json in
-  let* tl_checksum = field "checksum" int_of_json in
-  let* tl_mean_latency = field "mean_latency" float_of_json in
-  let* tl_p99 = field "p99" float_of_json in
-  let* tl_dedup_hits = field "dedup_hits" int_of_json in
-  let* tl_flush_marks = field "flush_marks" int_of_json in
-  let* tl_cfi_checks = field "cfi_checks" int_of_json in
-  let* tl_cfi_violations = field "cfi_violations" int_of_json in
-  let* tl_cfi_elided = field "cfi_elided" int_of_json in
-  Some
-    {
-      Serve.tl_name;
-      tl_jobs;
-      tl_checksum;
-      tl_mean_latency;
-      tl_p99;
-      tl_dedup_hits;
-      tl_flush_marks;
-      tl_cfi_checks;
-      tl_cfi_violations;
-      tl_cfi_elided;
-    }
-
-let serve_to_json (r : Serve.report) =
-  Jsonw.Obj
-    [
-      ("jobs", Jsonw.Int r.Serve.rp_jobs);
-      ("epochs", Jsonw.Int r.Serve.rp_epochs);
-      ("makespan", Jsonw.Int r.Serve.rp_makespan);
-      ("instrs", Jsonw.Int r.Serve.rp_instrs);
-      ("cycles", Jsonw.Int r.Serve.rp_cycles);
-      ("throughput", json_float r.Serve.rp_throughput);
-      ("agg_mips", json_float r.Serve.rp_agg_mips);
-      ("p50", json_float r.Serve.rp_p50);
-      ("p90", json_float r.Serve.rp_p90);
-      ("p99", json_float r.Serve.rp_p99);
-      ("dedup_hits", Jsonw.Int r.Serve.rp_dedup_hits);
-      ("dedup_insts", Jsonw.Int r.Serve.rp_dedup_insts);
-      ("flush_marks", Jsonw.Int r.Serve.rp_flush_marks);
-      ("flushes", Jsonw.Int r.Serve.rp_flushes);
-      ("store_peak", Jsonw.Int r.Serve.rp_store_peak);
-      ("store_final", Jsonw.Int r.Serve.rp_store_final);
-      ("evictions", Jsonw.Int r.Serve.rp_evictions);
-      ("evicted_bytes", Jsonw.Int r.Serve.rp_evicted_bytes);
-      ("rejects", Jsonw.Int r.Serve.rp_rejects);
-      ("checksum", Jsonw.Int r.Serve.rp_checksum);
-      ("cfi_checks", Jsonw.Int r.Serve.rp_cfi_checks);
-      ("cfi_violations", Jsonw.Int r.Serve.rp_cfi_violations);
-      ("cfi_elided", Jsonw.Int r.Serve.rp_cfi_elided);
-      ("tenants", Jsonw.List (List.map tenant_line_to_json r.Serve.rp_tenants));
-    ]
-
-let serve_of_json doc =
-  let ( let* ) = Option.bind in
-  let field k conv = Option.bind (Jsonw.member k doc) conv in
-  let* rp_jobs = field "jobs" int_of_json in
-  let* rp_epochs = field "epochs" int_of_json in
-  let* rp_makespan = field "makespan" int_of_json in
-  let* rp_instrs = field "instrs" int_of_json in
-  let* rp_cycles = field "cycles" int_of_json in
-  let* rp_throughput = field "throughput" float_of_json in
-  let* rp_agg_mips = field "agg_mips" float_of_json in
-  let* rp_p50 = field "p50" float_of_json in
-  let* rp_p90 = field "p90" float_of_json in
-  let* rp_p99 = field "p99" float_of_json in
-  let* rp_dedup_hits = field "dedup_hits" int_of_json in
-  let* rp_dedup_insts = field "dedup_insts" int_of_json in
-  let* rp_flush_marks = field "flush_marks" int_of_json in
-  let* rp_flushes = field "flushes" int_of_json in
-  let* rp_store_peak = field "store_peak" int_of_json in
-  let* rp_store_final = field "store_final" int_of_json in
-  let* rp_evictions = field "evictions" int_of_json in
-  let* rp_evicted_bytes = field "evicted_bytes" int_of_json in
-  let* rp_rejects = field "rejects" int_of_json in
-  let* rp_checksum = field "checksum" int_of_json in
-  let* rp_cfi_checks = field "cfi_checks" int_of_json in
-  let* rp_cfi_violations = field "cfi_violations" int_of_json in
-  let* rp_cfi_elided = field "cfi_elided" int_of_json in
-  let* items =
-    match Jsonw.member "tenants" doc with
-    | Some (Jsonw.List l) -> Some l
-    | _ -> None
-  in
-  let* rp_tenants =
-    List.fold_right
-      (fun item acc ->
-        let* acc = acc in
-        let* t = tenant_line_of_json item in
-        Some (t :: acc))
-      items (Some [])
-  in
-  Some
-    {
-      Serve.rp_jobs;
-      rp_epochs;
-      rp_makespan;
-      rp_instrs;
-      rp_cycles;
-      rp_throughput;
-      rp_agg_mips;
-      rp_p50;
-      rp_p90;
-      rp_p99;
-      rp_dedup_hits;
-      rp_dedup_insts;
-      rp_flush_marks;
-      rp_flushes;
-      rp_store_peak;
-      rp_store_final;
-      rp_evictions;
-      rp_evicted_bytes;
-      rp_rejects;
-      rp_checksum;
-      rp_cfi_checks;
-      rp_cfi_violations;
-      rp_cfi_elided;
-      rp_tenants;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* The two memo levels. Keys are full-parameter fingerprints: the old
-   cache keyed native runs on [arch.name] alone, so two architectures
-   sharing a name but differing in, say, cache geometry silently
-   returned each other's results. *)
-
-let native_memo : native Memo.t =
-  Memo.create ~namespace:"native" ~to_json:native_to_json
-    ~of_json:native_of_json ()
-
-let sdt_memo : sdt Memo.t =
-  Memo.create ~namespace:"sdt" ~to_json:sdt_to_json ~of_json:sdt_of_json ()
-
-let serve_memo : Serve.report Memo.t =
-  Memo.create ~namespace:"serve" ~to_json:serve_to_json ~of_json:serve_of_json
-    ()
+let native_memo : native Memo.t = Memo.create ~namespace:"native"
+let sdt_memo : sdt Memo.t = Memo.create ~namespace:"sdt"
+let serve_memo : Serve.report Memo.t = Memo.create ~namespace:"serve"
 
 let clear_cache () =
   Memo.clear native_memo;
   Memo.clear sdt_memo;
   Memo.clear serve_memo
 
-let set_cache_dir dir =
-  Memo.set_dir native_memo dir;
-  Memo.set_dir sdt_memo dir;
-  Memo.set_dir serve_memo dir
+let set_cache_dir = function
+  | None -> ()
+  | Some _ -> invalid_arg "Run.set_cache_dir: results are memoised in memory only"
 
-type cache_stats = { hits : int; disk_hits : int; simulated : int }
+type cache_stats = { hits : int; simulated : int }
 
 let cache_stats () =
   {
     hits = Memo.hits native_memo + Memo.hits sdt_memo + Memo.hits serve_memo;
-    disk_hits =
-      Memo.disk_hits native_memo + Memo.disk_hits sdt_memo
-      + Memo.disk_hits serve_memo;
     simulated =
       Memo.misses native_memo + Memo.misses sdt_memo + Memo.misses serve_memo;
   }
@@ -483,10 +178,10 @@ let cache_stats () =
 (* Per-cell wall-time spans: each actually-simulated cell (memo misses
    only) is one Chrome-trace span on its worker's track, tagged with
    the cell key and fingerprint so a slow track segment in Perfetto
-   resolves directly to a grid cell and its cache entry. *)
+   resolves directly to a grid cell and its memo entry. *)
 let cell_span kind ~key fp f =
   Sdt_par.Telemetry.span ~cat:"harness" ~name:("cell." ^ kind)
-    ~args:[ ("key", key); ("fingerprint", Fingerprint.digest fp) ]
+    ~args:[ ("key", key); ("fingerprint", fp) ]
     f
 
 let native ~arch ~key build =
@@ -554,7 +249,7 @@ let sdt ~arch ~cfg ~key build =
    threaded into [Serve.run] here: the harness parallelises across
    serve specs on the pool, and {!Sdt_par.Pool} is not reentrant. *)
 let serve spec =
-  let fp = Serve.fingerprint spec ^ "|mode=" ^ exec_mode_name !mode in
+  let fp = Fingerprint.of_value (spec, !mode) in
   Memo.find serve_memo fp (fun () ->
       cell_span "serve" ~key:(Serve.describe spec) fp @@ fun () ->
       let res = Serve.run ~mode:!mode spec in

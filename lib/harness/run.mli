@@ -2,13 +2,12 @@
     cycle accountant, collect everything the experiments report, and
     verify translated correctness against the native run.
 
-    Both native and SDT results are memoised on canonical
-    {!Sdt_par.Fingerprint} cell keys (workload key × full architecture
-    parameters × full configuration), in a domain-safe single-flight
-    cache — the same cell recurring across experiments (or across
-    [bench] invocations, with {!set_cache_dir}) is simulated once.
-    Program identity is by build, so callers pass a [key] naming the
-    workload and size. *)
+    Both native and SDT results are memoised in process on
+    {!Sdt_par.Fingerprint.cell} keys (workload key × every architecture
+    field × every configuration field), in a domain-safe single-flight
+    cache — the same cell recurring across experiments is simulated
+    once per process. Program identity is by build, so callers pass a
+    [key] naming the workload and size. *)
 
 module Arch = Sdt_march.Arch
 module Program = Sdt_isa.Program
@@ -47,8 +46,8 @@ exception Mismatch of string
     harness refuses to report numbers for wrong executions. *)
 
 val native : arch:Arch.t -> key:string -> (unit -> Program.t) -> native
-(** Memoised on the full (key, arch-parameters) fingerprint — two
-    arches that merely share a [name] cannot alias. *)
+(** Memoised on [(key, arch)] by value — two arches that merely share
+    a [name] cannot alias. *)
 
 val sdt :
   arch:Arch.t -> cfg:Config.t -> key:string -> (unit -> Program.t) -> sdt
@@ -59,8 +58,8 @@ val sdt :
 
 val serve : Serve.spec -> Serve.report
 (** Run a multi-tenant service spec ({!Sdt_serve.Serve.run}) and
-    reduce it to its compact report, memoised on
-    {!Sdt_serve.Serve.fingerprint} {e plus the exec mode}: unlike
+    reduce it to its compact report, memoised on the whole spec
+    ({!Sdt_par.Fingerprint.of_value}) {e plus the exec mode}: unlike
     single-run cells, a service's epoch micro-schedule (completion
     ticks, store churn) legitimately depends on the interpreter loop —
     block modes overshoot cycle targets to block boundaries — so modes
@@ -70,21 +69,22 @@ val serve : Serve.spec -> Serve.report
     (the pool is not reentrant). *)
 
 val clear_cache : unit -> unit
-(** Drop both in-memory memo levels and their counters. Disk entries
-    (if {!set_cache_dir} is active) survive. *)
+(** Drop every memoised native, SDT and service result and zero the
+    counters: the next lookup of any cell simulates it again. *)
 
 val set_cache_dir : string option -> unit
-(** Attach an on-disk result cache: one JSON file per simulated cell,
-    so repeated bench invocations skip unchanged cells entirely. *)
+(** Results are memoised in memory only, so [None] is a no-op; it
+    stays because [bench/e2e]'s [grid] workload calls it.
+    @raise Invalid_argument on [Some _]. *)
 
 type cache_stats = {
-  hits : int;  (** cells served from memory *)
-  disk_hits : int;  (** cells served from the disk cache *)
+  hits : int;  (** cells served from the memo *)
   simulated : int;  (** cells actually simulated *)
 }
 
 val cache_stats : unit -> cache_stats
-(** Counters since the last {!clear_cache}, both memo levels summed. *)
+(** Counters since the last {!clear_cache}, native, SDT and service
+    memos summed. *)
 
 val max_steps : int ref
 (** Step budget per run (default 2 * 10^9). *)

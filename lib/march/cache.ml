@@ -43,6 +43,16 @@ let create cfg =
 let config t = t.cfg
 let line_index t addr = addr lsr t.line_shift
 
+(* The way of [base .. base + assoc - 1] holding [line], or -1. A
+   top-level function, not a local closure: without flambda a local
+   [let rec] capturing the tag array and the set is allocated on every
+   access. The annotations keep [=] an integer compare. *)
+let rec probe (tags : int array) (base : int) (assoc : int) (line : int)
+    (i : int) =
+  if i = assoc then -1
+  else if Array.unsafe_get tags (base + i) = line then i
+  else probe tags base assoc line (i + 1)
+
 (* Allocation-free: this runs once per simulated load/store (dcache)
    and per fetched line (icache), so the probe returns a way index
    instead of an option and the indices stay in [0, sets*assoc) by
@@ -54,12 +64,7 @@ let access t addr =
   let base = set * assoc in
   t.clock <- t.clock + 1;
   let tags = t.tags and stamps = t.stamps in
-  let rec probe i =
-    if i = assoc then -1
-    else if Array.unsafe_get tags (base + i) = line then i
-    else probe (i + 1)
-  in
-  let way = probe 0 in
+  let way = probe tags base assoc line 0 in
   if way >= 0 then begin
     t.hits <- t.hits + 1;
     Array.unsafe_set stamps (base + way) t.clock;

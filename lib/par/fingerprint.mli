@@ -1,31 +1,27 @@
-(** Canonical fingerprints for experiment cells.
+(** Result-memo keys derived from the values they stand for.
 
-    A cell is (workload key, architecture, optional SDT configuration);
-    [None] for the configuration means the native (untranslated) run.
-    The fingerprint is a readable canonical string covering {e every}
-    parameter that can influence the simulation — all [Arch.t] fields
-    including the cache geometries, and all [Config.t] fields — so two
-    architectures that merely share a [name], or two configurations
-    whose differences [Config.describe] elides (spill mode, block
-    limit, code capacity), can never alias in a result cache.
+    A key is the MD5 hex of the value's marshalled bytes, so it covers
+    {e every} field of every record in the value: a knob added to
+    [Arch.t] or [Config.t] changes the key without a matching edit
+    here, two architectures that merely share a [name] cannot alias,
+    and neither can two configurations whose differences
+    [Config.describe] elides.
 
-    [digest] is the MD5 hex of the canonical string: a fixed-width key
-    safe to use as a file name for the on-disk cache. *)
+    Keys are stable within one build of the program only (the
+    marshalled layout is the compiler's), which is why no key is ever
+    written out: the memo lives and dies with the process. *)
 
 module Arch = Sdt_march.Arch
 module Config = Sdt_core.Config
 
-val arch : Arch.t -> string
-(** Every field of the architecture model, in declaration order. *)
-
-val config : Config.t -> string
-(** Every field of the SDT configuration, in declaration order. *)
+val of_value : 'a -> string
+(** MD5 hex of [Marshal.to_string v [No_sharing]]. For plain data
+    only — records, variants, strings, numbers, lists, options: two
+    structurally equal values built separately get equal keys, and
+    values that differ in any field get different ones. Functional
+    values raise [Invalid_argument], and cyclic ones do not
+    terminate. *)
 
 val cell : key:string -> arch:Arch.t -> cfg:Config.t option -> string
-(** Canonical cell string, e.g.
-    ["v1|gzip:test|arch{...}|cfg{...}"] (or [|native] when [cfg] is
-    [None]). The leading version tag invalidates on-disk caches if the
-    fingerprint scheme ever changes. *)
-
-val digest : string -> string
-(** MD5 hex of a canonical string. *)
+(** [of_value (key, arch, cfg)]: the key of one experiment cell, with
+    [None] for the native (untranslated) run. *)

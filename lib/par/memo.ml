@@ -1,5 +1,3 @@
-module Jsonw = Sdt_observe.Jsonw
-
 type 'a state = Ready of 'a | Pending
 
 type 'a t = {
@@ -7,95 +5,33 @@ type 'a t = {
   c : Condition.t;
   tbl : (string, 'a state) Hashtbl.t;
   namespace : string;
-  to_json : 'a -> Jsonw.t;
-  of_json : Jsonw.t -> 'a option;
-  mutable dir : string option;
   mutable hits : int;
-  mutable disk_hits : int;
   mutable misses : int;
   mutable waits : int;
 }
 
-let create ~namespace ~to_json ~of_json () =
+let create ~namespace =
   {
     m = Mutex.create ();
     c = Condition.create ();
     tbl = Hashtbl.create 256;
     namespace;
-    to_json;
-    of_json;
-    dir = None;
     hits = 0;
-    disk_hits = 0;
     misses = 0;
     waits = 0;
   }
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
-let set_dir t dir =
-  Option.iter mkdir_p dir;
-  Mutex.lock t.m;
-  t.dir <- dir;
-  Mutex.unlock t.m
 
 let clear t =
   Mutex.lock t.m;
   Hashtbl.reset t.tbl;
   t.hits <- 0;
-  t.disk_hits <- 0;
   t.misses <- 0;
   t.waits <- 0;
   Mutex.unlock t.m
 
 let hits t = t.hits
-let disk_hits t = t.disk_hits
 let misses t = t.misses
 let waits t = t.waits
-
-let path t dir key =
-  Filename.concat dir
-    (Printf.sprintf "%s-%s.json" t.namespace (Fingerprint.digest key))
-
-let disk_load t key =
-  match t.dir with
-  | None -> None
-  | Some dir -> (
-      let file = path t dir key in
-      match In_channel.with_open_bin file In_channel.input_all with
-      | exception Sys_error _ -> None
-      | raw -> (
-          match Jsonw.of_string raw with
-          | Error _ -> None
-          | Ok doc -> (
-              (* refuse entries whose stored canonical key differs: a
-                 digest collision or a changed fingerprint scheme *)
-              match Jsonw.member "key" doc with
-              | Some (Jsonw.Str k) when k = key ->
-                  Option.bind (Jsonw.member "value" doc) t.of_json
-              | _ -> None)))
-
-let disk_store t key v =
-  match t.dir with
-  | None -> ()
-  | Some dir -> (
-      let file = path t dir key in
-      let tmp =
-        Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
-          (Domain.self () :> int)
-      in
-      let doc =
-        Jsonw.Obj [ ("key", Jsonw.Str key); ("value", t.to_json v) ]
-      in
-      try
-        Out_channel.with_open_bin tmp (fun oc ->
-            Out_channel.output_string oc (Jsonw.to_string doc));
-        Sys.rename tmp file
-      with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ()))
 
 let find t key compute =
   let t_find = Telemetry.start () in
@@ -129,38 +65,27 @@ let find t key compute =
     | None -> (
         Hashtbl.replace t.tbl key Pending;
         Mutex.unlock t.m;
+        let t_comp = Telemetry.start () in
         let outcome =
-          let t_load = Telemetry.start () in
-          match disk_load t key with
-          | Some v ->
-              Telemetry.observe ~labels:ns "memo.load_us"
-                (Telemetry.elapsed_us t_load);
-              Ok (v, true)
-          | None -> (
-              let t_comp = Telemetry.start () in
-              match compute () with
-              | v ->
-                  Telemetry.observe ~labels:ns "memo.compute_us"
-                    (Telemetry.elapsed_us t_comp);
-                  disk_store t key v;
-                  Ok (v, false)
-              | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+          match compute () with
+          | v ->
+              Telemetry.observe ~labels:ns "memo.compute_us"
+                (Telemetry.elapsed_us t_comp);
+              Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ())
         in
         Mutex.lock t.m;
         (match outcome with
-        | Ok (v, from_disk) ->
-            if from_disk then t.disk_hits <- t.disk_hits + 1
-            else t.misses <- t.misses + 1;
+        | Ok v ->
+            t.misses <- t.misses + 1;
             Hashtbl.replace t.tbl key (Ready v)
         | Error _ -> Hashtbl.remove t.tbl key);
         Condition.broadcast t.c;
         Mutex.unlock t.m;
         match outcome with
-        | Ok (v, from_disk) ->
-            Telemetry.count ~labels:ns
-              (if from_disk then "memo.disk_hits" else "memo.misses")
-              1;
-            fin (if from_disk then "disk" else "compute");
+        | Ok v ->
+            Telemetry.count ~labels:ns "memo.misses" 1;
+            fin "compute";
             v
         | Error (e, bt) ->
             fin "error";

@@ -1,32 +1,20 @@
-(** A domain-safe, single-flight result memo with optional disk backing.
+(** A domain-safe, single-flight, in-process result memo.
 
-    Level 1 is an in-process hash table guarded by a mutex. Lookups are
+    An in-process hash table guarded by a mutex. Lookups are
     {e single-flight}: when several workers ask for the same key at
     once, exactly one computes while the rest block on a condition
     variable and then read the finished value — concurrent evaluation
     of a shared dependency (e.g. the native run every SDT cell
     normalises against) costs one simulation, not [jobs].
 
-    Level 2 (enabled by {!set_dir}) persists values as one JSON file
-    per key, named [<namespace>-<md5(key)>.json] and carrying the full
-    canonical key, which is verified on load — a digest collision or a
-    stale fingerprint scheme yields a miss, never a wrong value. Files
-    are written to a temporary name and renamed, so a crashed or
-    concurrent writer can't leave a torn entry behind. *)
-
-module Jsonw = Sdt_observe.Jsonw
+    Nothing is persisted: entries live as long as the process, so a
+    code change can never serve a result the old code computed, and
+    keys need only be stable within one build ({!Fingerprint}). *)
 
 type 'a t
 
-val create :
-  namespace:string ->
-  to_json:('a -> Jsonw.t) ->
-  of_json:(Jsonw.t -> 'a option) ->
-  unit ->
-  'a t
-(** [of_json] returning [None] (or a parse failure, or a key mismatch)
-    makes the disk entry a miss; the value is recomputed and the entry
-    rewritten. *)
+val create : namespace:string -> 'a t
+(** [namespace] labels the memo's telemetry. *)
 
 val find : 'a t -> string -> (unit -> 'a) -> 'a
 (** [find t key compute] returns the cached value for [key] or runs
@@ -34,19 +22,15 @@ val find : 'a t -> string -> (unit -> 'a) -> 'a
     raises, the key is released and the exception propagates; a later
     [find] will retry. *)
 
-val set_dir : 'a t -> string option -> unit
-(** Attach or detach the on-disk level (creates the directory). *)
-
 val clear : 'a t -> unit
-(** Drop the in-memory level and zero the counters; disk entries
-    survive (that is their point). Must not race an in-flight [find]. *)
+(** Drop every entry and zero the counters. Must not race an
+    in-flight [find]. *)
 
 (** {1 Counters} — monotone since the last {!clear}. *)
 
 val hits : 'a t -> int
 (** Served from memory (including single-flight waiters). *)
 
-val disk_hits : 'a t -> int
 val misses : 'a t -> int
 (** Values actually computed. *)
 

@@ -11,7 +11,6 @@ module Suite = Sdt_workloads.Suite
 module Synthetic = Sdt_workloads.Synthetic
 module Pool = Sdt_par.Pool
 module Telemetry = Sdt_par.Telemetry
-module Fingerprint = Sdt_par.Fingerprint
 module Registry = Sdt_observe.Registry
 module Histo = Sdt_observe.Histo
 
@@ -91,35 +90,6 @@ let spec ?(arch = Arch.arch_a) ?(cfg = Config.default) ?(policy = Store.Fifo)
     sp_copy_per_inst = copy_per_inst;
     sp_max_epochs = max_epochs;
   }
-
-let prog_fingerprint = function
-  | Workload { wl; size } -> Printf.sprintf "wl:%s:%d" wl size
-  | Micro p ->
-      Printf.sprintf "micro:%d,%d,%d,%d,%d,%d" p.Synthetic.ib_sites
-        p.Synthetic.targets p.Synthetic.fns p.Synthetic.recursion_depth
-        p.Synthetic.iters p.Synthetic.seed
-
-let fingerprint s =
-  let tenants =
-    List.map
-      (fun t ->
-        Printf.sprintf "%s=%s*%d" t.tn_name (prog_fingerprint t.tn_prog)
-          t.tn_jobs)
-      s.sp_tenants
-    |> String.concat ";"
-  in
-  let sched =
-    match s.sp_schedule with
-    | Closed -> "closed"
-    | Open_loop { period } -> Printf.sprintf "open:%d" period
-  in
-  Printf.sprintf
-    "serve-v1|%s|%s|policy=%s|bound=%d|budget=%d|dedup=%b|q=%d|srv=%d|sched=%s|copy=%d|%s"
-    (Fingerprint.arch s.sp_arch)
-    (Fingerprint.config s.sp_cfg)
-    (Store.policy_name s.sp_policy)
-    s.sp_bound s.sp_budget s.sp_dedup s.sp_quantum s.sp_servers sched
-    s.sp_copy_per_inst tenants
 
 let describe s =
   let jobs = List.fold_left (fun a t -> a + t.tn_jobs) 0 s.sp_tenants in

@@ -88,6 +88,10 @@ type spec = {
   sp_copy_per_inst : int;  (** dedup-hit charge per application instruction *)
   sp_max_epochs : int;  (** safety valve against scheduling bugs *)
 }
+(** Plain data: the harness memoises service runs on
+    {!Sdt_par.Fingerprint.of_value} of the spec, so every field is part
+    of the key, and a function stored in a spec would make that key
+    raise. *)
 
 val tenant : ?jobs:int -> string -> program_spec -> tenant_spec
 (** [jobs] defaults to 1. *)
@@ -118,11 +122,6 @@ val spec :
     server count, an unknown workload name, or a bounded/budgeted
     store under the fast-return policy (whose fragment addresses
     escape into application state and cannot be invalidated). *)
-
-val fingerprint : spec -> string
-(** Canonical string over {e every} spec parameter (architecture and
-    configuration via {!Sdt_par.Fingerprint}), versioned like cell
-    fingerprints; the memo key for serving runs. *)
 
 val describe : spec -> string
 (** Short human-readable summary for table titles and logs. *)

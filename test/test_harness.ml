@@ -228,47 +228,6 @@ let test_tables_jobs_invariant () =
         serial (render jobs))
     [ 2; 4 ]
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sdt_harness_test.%d.%.0f" (Unix.getpid ())
-         (Unix.gettimeofday () *. 1e6))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then (
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir))
-    (fun () -> f dir)
-
-let test_warm_disk_cache_reproduces_cold () =
-  let e = Option.get (Experiments.find "F3") in
-  with_temp_dir (fun dir ->
-      Fun.protect
-        ~finally:(fun () ->
-          Run.set_cache_dir None;
-          Run.clear_cache ())
-        (fun () ->
-          Run.set_cache_dir (Some dir);
-          Run.clear_cache ();
-          ignore (Experiments.evaluate `Test e);
-          let cold = render_all (e.Experiments.run `Test) in
-          let st = Run.cache_stats () in
-          check bool "cold run simulated something" true (st.Run.simulated > 0);
-          (* drop the in-memory level; the disk level must now carry
-             the whole experiment and reproduce it byte for byte *)
-          Run.clear_cache ();
-          ignore (Experiments.evaluate `Test e);
-          let warm = render_all (e.Experiments.run `Test) in
-          let st = Run.cache_stats () in
-          check int "warm run simulated nothing" 0 st.Run.simulated;
-          check bool "served from disk" true (st.Run.disk_hits > 0);
-          check Alcotest.string "warm reproduces cold byte-identically" cold
-            warm))
-
 (* ------------------------------------------------------------------ *)
 (* Experiments *)
 
@@ -437,8 +396,6 @@ let () =
           qt prop_jobs_invariant;
           Alcotest.test_case "tables invariant under jobs" `Slow
             test_tables_jobs_invariant;
-          Alcotest.test_case "warm disk cache reproduces cold" `Slow
-            test_warm_disk_cache_reproduces_cold;
         ] );
       ( "experiments",
         Alcotest.test_case "registry" `Quick test_registry

@@ -58,6 +58,23 @@ let test_cache_bad_geometry () =
   check bool "zero assoc" true (raises (cache_cfg ~assoc:0 ()));
   check bool "non-pow2 sets" true (raises (cache_cfg ~size:768 ()))
 
+(* access runs once per simulated load/store and fetched line, so it
+   must not allocate: a closure per call would dominate a run's
+   minor-heap traffic *)
+let test_cache_access_allocates_nothing () =
+  let c = Cache.create (cache_cfg ~size:4096 ~assoc:4 ()) in
+  let before = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    (* every other access re-touches one hot line; the rest stream *)
+    ignore (Cache.access c (if i land 1 = 0 then 0x100 else i * 0x1c0))
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool "hits and misses both taken" true
+    (Cache.hits c > 0 && Cache.misses c > 0);
+  check bool
+    (Printf.sprintf "%.0f minor words for 10^5 accesses" words)
+    true (words < 64.)
+
 let prop_cache_fits_working_set =
   (* any working set of <= assoc lines per set never misses after warmup *)
   QCheck.Test.make ~count:100 ~name:"cache: small working set stays resident"
@@ -341,6 +358,8 @@ let () =
           Alcotest.test_case "direct-mapped conflicts" `Quick test_cache_direct_mapped;
           Alcotest.test_case "reset" `Quick test_cache_reset;
           Alcotest.test_case "bad geometry" `Quick test_cache_bad_geometry;
+          Alcotest.test_case "access allocates nothing" `Quick
+            test_cache_access_allocates_nothing;
           qt prop_cache_fits_working_set;
           qt prop_cache_miss_then_hit;
         ] );

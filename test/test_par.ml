@@ -1,7 +1,8 @@
 (* Tests for sdt_par: pool determinism (results and exceptions are
-   independent of the jobs count and of scheduling), fingerprint
-   distinctness (no aliasing on shared names or elided config fields),
-   and the single-flight memo with its on-disk level. *)
+   independent of the jobs count and of scheduling), value identity of
+   memo keys (any single field of a random architecture or
+   configuration changes the key; equal values get equal keys), and the
+   single-flight in-process memo. *)
 
 module Pool = Sdt_par.Pool
 module Fingerprint = Sdt_par.Fingerprint
@@ -93,44 +94,174 @@ let test_with_pool_returns_and_jobs () =
 (* ------------------------------------------------------------------ *)
 (* Fingerprint *)
 
-let test_fingerprint_arch_no_alias () =
-  (* the bug this module exists to fix: two arches sharing a [name]
-     must not share a fingerprint *)
-  let impostor = { Arch.arch_a with Arch.mul_cycles = 99 } in
-  check string "impostor keeps the name" Arch.arch_a.Arch.name
-    impostor.Arch.name;
-  check bool "but not the fingerprint" true
-    (Fingerprint.arch Arch.arch_a <> Fingerprint.arch impostor);
-  check bool "cells differ too" true
-    (Fingerprint.cell ~key:"k" ~arch:Arch.arch_a ~cfg:None
-    <> Fingerprint.cell ~key:"k" ~arch:impostor ~cfg:None);
-  (* cache geometry is part of the model, so it must be covered *)
-  let blind = { Arch.arch_a with Arch.icache = None } in
-  check bool "icache geometry covered" true
-    (Fingerprint.arch Arch.arch_a <> Fingerprint.arch blind)
+(* Single-field mutators: each returns its input with exactly that
+   field changed. Random values are built from the presets by applying
+   a few of them; a property then changes one more field. *)
 
-let test_fingerprint_config_covers_elided_fields () =
-  (* Config.describe elides spill/block_limit/code_capacity; the
-     fingerprint must not *)
-  let base = Config.default in
-  let variants =
+let bump r v = v + 1 + (r mod 997)
+
+(* a value from [choices] other than [v] *)
+let other r choices v =
+  let rest = List.filter (fun c -> c <> v) choices in
+  List.nth rest (r mod List.length rest)
+
+let cache_field r (c : Sdt_march.Cache.config option) =
+  match c with
+  | None ->
+      Some
+        {
+          Sdt_march.Cache.size_bytes = 4096;
+          line_bytes = 32;
+          assoc = 2;
+          miss_penalty = r mod 40;
+        }
+  | Some c -> (
+      match r mod 5 with
+      | 0 -> None
+      | 1 -> Some { c with size_bytes = bump r c.size_bytes }
+      | 2 -> Some { c with line_bytes = bump r c.line_bytes }
+      | 3 -> Some { c with assoc = bump r c.assoc }
+      | _ -> Some { c with miss_penalty = bump r c.miss_penalty })
+
+let arch_fields : (int -> Arch.t -> Arch.t) list =
+  Arch.
     [
-      { base with Config.spill = Config.Spill_always };
-      { base with Config.block_limit = base.Config.block_limit + 1 };
-      { base with Config.code_capacity = base.Config.code_capacity * 2 };
-      { base with Config.count_memops = true };
-      { base with Config.shepherd = true };
+      (fun r a -> { a with name = a.name ^ string_of_int r });
+      (fun r a -> { a with alu_cycles = bump r a.alu_cycles });
+      (fun r a -> { a with mul_cycles = bump r a.mul_cycles });
+      (fun r a -> { a with div_cycles = bump r a.div_cycles });
+      (fun r a -> { a with mem_cycles = bump r a.mem_cycles });
+      (fun r a -> { a with branch_cycles = bump r a.branch_cycles });
+      (fun r a -> { a with syscall_cycles = bump r a.syscall_cycles });
+      (fun r a -> { a with icache = cache_field r a.icache });
+      (fun r a -> { a with dcache = cache_field r a.dcache });
+      (fun r a -> { a with cond_bits = bump r a.cond_bits });
+      (fun r a -> { a with cond_mispredict = bump r a.cond_mispredict });
+      (fun r a -> { a with btb_entries = bump r a.btb_entries });
+      (fun r a ->
+        { a with indirect_mispredict = bump r a.indirect_mispredict });
+      (fun r a -> { a with indirect_fixed = bump r a.indirect_fixed });
+      (fun r a -> { a with ras_depth = bump r a.ras_depth });
+      (fun r a -> { a with ras_mispredict = bump r a.ras_mispredict });
+      (fun r a -> { a with trap_cycles = bump r a.trap_cycles });
+      (fun r a ->
+        { a with translate_per_inst = bump r a.translate_per_inst });
+      (fun r a -> { a with lookup_cycles = bump r a.lookup_cycles });
+      (fun r a -> { a with fast_miss_cycles = bump r a.fast_miss_cycles });
+      (fun _ a -> { a with reserved_regs_free = not a.reserved_regs_free });
+      (fun r a -> { a with context_regs = bump r a.context_regs });
     ]
-  in
-  List.iter
-    (fun v ->
-      check bool "variant distinct" true
-        (Fingerprint.config base <> Fingerprint.config v))
-    variants;
-  let fps = List.map Fingerprint.config variants in
-  check int "variants pairwise distinct"
-    (List.length fps)
-    (List.length (List.sort_uniq compare fps))
+
+let mechanisms =
+  Config.
+    [
+      Dispatch;
+      Ibtc default_ibtc;
+      Ibtc { default_ibtc with entries = 256 };
+      Ibtc { default_ibtc with ways = 2 };
+      Ibtc { default_ibtc with shared = false };
+      Ibtc { default_ibtc with per_site_entries = 16 };
+      Ibtc { default_ibtc with miss = Full_switch };
+      Ibtc { default_ibtc with hash = Multiplicative };
+      Ibtc { default_ibtc with inline_lookup = false };
+      Sieve default_sieve;
+      Sieve { default_sieve with buckets = 64 };
+      Sieve { default_sieve with insert_at_head = false };
+      Adaptive default_adaptive;
+      Adaptive { default_adaptive with poly_entropy_bits = 2.5 };
+      Adaptive { default_adaptive with mono_share_pct = 75 };
+    ]
+
+let config_fields : (int -> Config.t -> Config.t) list =
+  Config.
+    [
+      (fun r c -> { c with mech = other r mechanisms c.mech });
+      (fun r c ->
+        {
+          c with
+          returns =
+            other r
+              [
+                As_ib;
+                Return_cache { entries = 4096 };
+                Return_cache { entries = 64 + (r mod 7) };
+                Shadow_stack { depth = 1024 };
+                Fast_return;
+              ]
+              c.returns;
+        });
+      (fun r c -> { c with pred_depth = bump r c.pred_depth });
+      (fun _ c -> { c with link_direct = not c.link_direct });
+      (fun _ c -> { c with follow_direct_jumps = not c.follow_direct_jumps });
+      (fun r c ->
+        let modes = [ Spill_auto; Spill_always; Spill_never ] in
+        { c with spill = other r modes c.spill });
+      (fun r c -> { c with block_limit = bump r c.block_limit });
+      (fun r c -> { c with code_capacity = bump r c.code_capacity });
+      (fun _ c -> { c with count_memops = not c.count_memops });
+      (fun _ c -> { c with profile_ib_sites = not c.profile_ib_sites });
+      (fun _ c -> { c with shepherd = not c.shepherd });
+      (fun r c ->
+        {
+          c with
+          cfi =
+            other r
+              [
+                Cfi_none;
+                Cfi_landing_pad;
+                Cfi_compartment { count = 8 };
+                Cfi_compartment { count = 9 + (r mod 5) };
+                Ret_integrity;
+              ]
+              c.cfi;
+        });
+    ]
+
+(* A random value: a preset with a few random fields changed, plus one
+   more field index and random value for the property to change. Built
+   twice from the same description, it gives two structurally equal
+   values allocated separately. *)
+let mutation_gen ~presets ~fields =
+  QCheck.(
+    quad
+      (int_bound (List.length presets - 1))
+      (small_list (pair (int_bound (fields - 1)) small_nat))
+      (int_bound (fields - 1))
+      small_nat)
+
+let build presets fields (p, muts, _, _) =
+  List.fold_left
+    (fun v (i, r) -> (List.nth fields i) r v)
+    (List.nth presets p) muts
+
+(* Changing any single field changes the cell key; building the same
+   value again, separately, leaves the key alone. The generators must
+   keep pace with the records, hence the field count. *)
+let key_property ~name ~presets ~fields ~cell =
+  QCheck.Test.make ~count:300 ~name
+    (mutation_gen ~presets ~fields:(List.length fields))
+    (fun ((_, _, i, r) as d) ->
+      let v = build presets fields d in
+      Obj.size (Obj.repr v) = List.length fields
+      && cell v = cell (build presets fields d)
+      && cell v <> cell ((List.nth fields i) r v))
+
+(* two arches sharing a [name] (every generated arch that differs from
+   its preset in another field) must not share a key *)
+let prop_arch_no_alias =
+  key_property ~name:"arch name aliasing fixed"
+    ~presets:Arch.[ arch_a; arch_b; arch_c; ideal ]
+    ~fields:arch_fields
+    ~cell:(fun a -> Fingerprint.cell ~key:"gzip:test" ~arch:a ~cfg:None)
+
+(* Config.describe elides spill, block_limit, code_capacity and the
+   instrumentation flags; the key covers every field *)
+let prop_config_covers_fields =
+  key_property ~name:"config covers elided fields"
+    ~presets:Config.[ default; baseline ]
+    ~fields:config_fields
+    ~cell:(fun c ->
+      Fingerprint.cell ~key:"gzip:test" ~arch:Arch.arch_a ~cfg:(Some c))
 
 let test_fingerprint_cell_native_vs_cfg () =
   let native = Fingerprint.cell ~key:"k" ~arch:Arch.arch_a ~cfg:None in
@@ -139,26 +270,12 @@ let test_fingerprint_cell_native_vs_cfg () =
   in
   check bool "native <> configured" true (native <> cfg);
   check bool "key matters" true
-    (native <> Fingerprint.cell ~key:"k2" ~arch:Arch.arch_a ~cfg:None);
-  check bool "versioned" true (String.length native > 3 && String.sub native 0 3 = "v2|")
-
-let test_digest_shape () =
-  let d = Fingerprint.digest "hello" in
-  check int "md5 hex width" 32 (String.length d);
-  check bool "hex chars" true
-    (String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       d);
-  check bool "distinct inputs" true (d <> Fingerprint.digest "world")
+    (native <> Fingerprint.cell ~key:"k2" ~arch:Arch.arch_a ~cfg:None)
 
 (* ------------------------------------------------------------------ *)
 (* Memo *)
 
-let int_memo namespace =
-  Memo.create ~namespace
-    ~to_json:(fun n -> Jsonw.Int n)
-    ~of_json:(function Jsonw.Int n -> Some n | _ -> None)
-    ()
+let int_memo namespace : int Memo.t = Memo.create ~namespace
 
 let test_memo_computes_once () =
   let m = int_memo "t" in
@@ -203,81 +320,6 @@ let test_memo_release_on_exception () =
   | exception Failure _ -> ());
   check int "retry succeeds" 5 (Memo.find m "k" flaky);
   check int "cached thereafter" 5 (Memo.find m "k" (fun () -> assert false))
-
-let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sdt_par_test.%d.%.0f" (Unix.getpid ())
-         (Unix.gettimeofday () *. 1e6))
-  in
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then (
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir))
-    (fun () -> f dir)
-
-let test_memo_disk_round_trip () =
-  with_temp_dir (fun dir ->
-      let key = "v1|some|canonical|key" in
-      let m1 = int_memo "rt" in
-      Memo.set_dir m1 (Some dir);
-      check int "cold compute" 11 (Memo.find m1 key (fun () -> 11));
-      (* a fresh memo (fresh process, morally) with the same namespace
-         and directory must serve the value from disk *)
-      let m2 = int_memo "rt" in
-      Memo.set_dir m2 (Some dir);
-      check int "warm load" 11 (Memo.find m2 key (fun () -> Alcotest.fail "recomputed"));
-      check int "disk hit counted" 1 (Memo.disk_hits m2);
-      check int "no compute" 0 (Memo.misses m2);
-      (* clear drops memory but not disk *)
-      Memo.clear m2;
-      check int "still on disk" 11
-        (Memo.find m2 key (fun () -> Alcotest.fail "recomputed")))
-
-let test_memo_disk_rejects_garbage () =
-  with_temp_dir (fun dir ->
-      let key = "v1|garbage|victim" in
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "g-%s.json" (Fingerprint.digest key))
-      in
-      let oc = open_out path in
-      output_string oc "{not json";
-      close_out oc;
-      let m = int_memo "g" in
-      Memo.set_dir m (Some dir);
-      check int "recomputed past garbage" 3 (Memo.find m key (fun () -> 3));
-      check int "counted as a miss" 1 (Memo.misses m);
-      (* the rewrite must have repaired the entry *)
-      let m2 = int_memo "g" in
-      Memo.set_dir m2 (Some dir);
-      check int "repaired on disk" 3
-        (Memo.find m2 key (fun () -> Alcotest.fail "recomputed")))
-
-let test_memo_disk_rejects_key_mismatch () =
-  with_temp_dir (fun dir ->
-      (* simulate an md5 collision / stale scheme: a well-formed entry
-         filed under our digest but carrying a different canonical key *)
-      let key = "v1|the|real|key" in
-      let m0 = int_memo "c" in
-      Memo.set_dir m0 (Some dir);
-      ignore (Memo.find m0 key (fun () -> 1));
-      let ours = Printf.sprintf "c-%s.json" (Fingerprint.digest key) in
-      let other = "v1|an|impostor|key" in
-      Sys.rename
-        (Filename.concat dir ours)
-        (Filename.concat dir
-           (Printf.sprintf "c-%s.json" (Fingerprint.digest other)));
-      let m = int_memo "c" in
-      Memo.set_dir m (Some dir);
-      check int "stored key verified, impostor rejected" 9
-        (Memo.find m other (fun () -> 9));
-      check int "no disk hit" 0 (Memo.disk_hits m))
 
 (* a lookup that lands while the compute is in flight must block (the
    single-flight guarantee), be counted as a wait, and resume with the
@@ -409,13 +451,10 @@ let () =
         ] );
       ( "fingerprint",
         [
-          Alcotest.test_case "arch name aliasing fixed" `Quick
-            test_fingerprint_arch_no_alias;
-          Alcotest.test_case "config covers elided fields" `Quick
-            test_fingerprint_config_covers_elided_fields;
+          QCheck_alcotest.to_alcotest prop_arch_no_alias;
+          QCheck_alcotest.to_alcotest prop_config_covers_fields;
           Alcotest.test_case "cell native vs configured" `Quick
             test_fingerprint_cell_native_vs_cfg;
-          Alcotest.test_case "digest shape" `Quick test_digest_shape;
         ] );
       ( "memo",
         [
@@ -424,11 +463,6 @@ let () =
             test_memo_single_flight_across_domains;
           Alcotest.test_case "release on exception" `Quick
             test_memo_release_on_exception;
-          Alcotest.test_case "disk round trip" `Quick test_memo_disk_round_trip;
-          Alcotest.test_case "disk rejects garbage" `Quick
-            test_memo_disk_rejects_garbage;
-          Alcotest.test_case "disk rejects key mismatch" `Quick
-            test_memo_disk_rejects_key_mismatch;
           Alcotest.test_case "wait counted" `Quick test_memo_wait_counted;
         ] );
       ( "telemetry",

@@ -488,21 +488,45 @@ let test_serve_cfi_instruments () =
     off.Serve.res_jobs
 
 let test_serve_fingerprint_keyed_on_policy () =
-  (* two specs identical except for the CFI policy must not share a
-     memo entry (or, through it, a baseline row) *)
-  let t = [ Serve.tenant "t0" (micro 1) ] in
-  let off =
+  (* the harness memoises service runs on the spec's value: two specs
+     differing in one field (the CFI or store policy, the bound, a
+     tenant's job count, the epoch limit) must not share a memo entry
+     (or, through it, a baseline row), and equal specs must, whether
+     or not their tenants share one program value *)
+  let spec ?(cfi = Config.Cfi_none) ?policy ?bound ?max_epochs ?(jobs = 2)
+      ?(p0 = micro 1) ?(p1 = micro 1) () =
     Serve.spec ~quantum:10_000
-      ~cfg:{ Config.default with Config.cfi = Config.Cfi_none }
-      t
+      ~cfg:{ Config.default with Config.cfi }
+      ?policy ?bound ?max_epochs
+      [ Serve.tenant ~jobs "t0" p0; Serve.tenant "t1" p1 ]
   in
-  let on =
-    Serve.spec ~quantum:10_000
-      ~cfg:{ Config.default with Config.cfi = Config.Ret_integrity }
-      t
+  let key s = Sdt_par.Fingerprint.of_value s in
+  let base = key (spec ()) in
+  let p = micro 1 in
+  Alcotest.(check string) "equal specs, equal keys" base
+    (key (spec ~p0:p ~p1:p ()));
+  List.iter
+    (fun (field, s) ->
+      Alcotest.(check bool) (field ^ " changes the key") true (key s <> base))
+    [
+      ("cfi policy", spec ~cfi:Config.Ret_integrity ());
+      ("store policy", spec ~policy:Store.Generational ());
+      ("bound", spec ~bound:4096 ());
+      ("a tenant's jobs", spec ~jobs:3 ());
+      ("max_epochs", spec ~max_epochs:1 ());
+      ("a tenant's program", spec ~p1:(micro 2) ());
+    ]
+
+let test_serve_memo_keyed_on_max_epochs () =
+  (* the memo must not answer a one-epoch spec, which fails, with the
+     report of the same spec run under the default epoch limit *)
+  let spec ?max_epochs () =
+    Serve.spec ~quantum:10_000 ?max_epochs [ Serve.tenant "t0" (micro 1) ]
   in
-  Alcotest.(check bool) "fingerprints differ" true
-    (Serve.fingerprint off <> Serve.fingerprint on)
+  ignore (Sdt_harness.Run.serve (spec ()));
+  match Sdt_harness.Run.serve (spec ~max_epochs:1 ()) with
+  | _ -> Alcotest.fail "one-epoch spec served from the memo"
+  | exception Serve.Error _ -> ()
 
 let test_serve_workload_tenants () =
   (* suite workloads as tenants, two of them identical for dedup *)
@@ -561,6 +585,8 @@ let () =
             test_serve_cfi_instruments;
           Alcotest.test_case "fingerprint keyed on policy" `Quick
             test_serve_fingerprint_keyed_on_policy;
+          Alcotest.test_case "memo keyed on max_epochs" `Quick
+            test_serve_memo_keyed_on_max_epochs;
           Alcotest.test_case "jobs independence" `Quick
             test_serve_jobs_independence;
           Alcotest.test_case "workload tenants" `Quick
