@@ -222,12 +222,23 @@ let run_one pool size (e : Experiments.experiment) =
 let rec mkdir_p dir =
   if dir <> "" && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
 
+(* Every output directory is created, parents included, before any
+   simulation: one that cannot be a directory stops the harness like a
+   bad flag (one line, exit 2) instead of after the experiments ran. *)
+let prepare_dir flag dir =
+  match mkdir_p dir with
+  | () when Sys.is_directory dir -> ()
+  | () ->
+      Printf.eprintf "%s: %s is not a directory\n" flag dir;
+      exit 2
+  | exception Sys_error msg ->
+      Printf.eprintf "%s: cannot create %s: %s\n" flag dir msg;
+      exit 2
+
 let run_experiments pool size csv_dir json_dir exps =
-  Option.iter mkdir_p csv_dir;
-  Option.iter mkdir_p json_dir;
   let total_cells = ref 0 and total_sim = ref 0 and t_start = now () in
   List.iter
     (fun (e : Experiments.experiment) ->
@@ -277,7 +288,6 @@ let run_experiments pool size csv_dir json_dir exps =
    the trace on exit. Registered with at_exit so the files land even
    when a run fails. *)
 let dump_telemetry (o : options) dir sink =
-  mkdir_p dir;
   Out_channel.with_open_text (Filename.concat dir "trace.json") (fun oc ->
       Telemetry.write_chrome oc sink);
   Out_channel.with_open_text (Filename.concat dir "METRICS.json") (fun oc ->
@@ -311,6 +321,9 @@ let () =
      spawns so workers inherit it. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
   let o = parse_args () in
+  Option.iter (prepare_dir "--csv") o.csv_dir;
+  Option.iter (prepare_dir "--json") o.json_dir;
+  Option.iter (prepare_dir "--telemetry") o.telemetry;
   let exps = selected o.only in
   Run.set_exec_mode o.exec_mode;
   (match o.telemetry with

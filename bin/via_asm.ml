@@ -2,26 +2,38 @@
 
 open Cmdliner
 
+(* Like via_run's bad input: an unreadable or malformed source, or an
+   image that cannot be written, ends the run with one line and
+   exit 2. *)
+let bad fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      2)
+    fmt
+
 let run input output listing =
   match Sdt_isa.Assembler.assemble_file input with
   | exception Sdt_isa.Assembler.Error { line; msg } ->
-      Printf.eprintf "%s:%d: %s\n" input line msg;
-      1
-  | program ->
+      bad "%s:%d: %s" input line msg
+  | exception Sys_error msg -> bad "%s" msg
+  | program -> (
       let out =
         match output with
         | Some o -> o
         | None -> Filename.remove_extension input ^ ".img"
       in
-      Sdt_isa.Image.save out program;
-      if listing then print_string (Sdt_isa.Disasm.listing program);
-      Printf.printf "wrote %s (%d bytes, entry 0x%x)\n" out
-        (Sdt_isa.Program.size_bytes program)
-        program.Sdt_isa.Program.entry;
-      0
+      match Sdt_isa.Image.save out program with
+      | exception Sys_error msg -> bad "cannot write %s" msg
+      | () ->
+          if listing then print_string (Sdt_isa.Disasm.listing program);
+          Printf.printf "wrote %s (%d bytes, entry 0x%x)\n" out
+            (Sdt_isa.Program.size_bytes program)
+            program.Sdt_isa.Program.entry;
+          0)
 
 let input =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.via"
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.via"
        ~doc:"Assembly source.")
 
 let output =
@@ -33,7 +45,13 @@ let listing =
 
 let cmd =
   Cmd.v
-    (Cmd.info "via_asm" ~doc:"assemble VIA source to an image")
+    (Cmd.info "via_asm" ~doc:"assemble VIA source to an image"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:
+              "on an unreadable or malformed source file, or an image that \
+               cannot be written."
+         :: Cmd.Exit.defaults))
     Term.(const run $ input $ output $ listing)
 
 let () = exit (Cmd.eval' cmd)

@@ -37,11 +37,8 @@ let hash_value (cfg : Config.ibtc) ~entries target =
   | Config.Multiplicative -> Word.mul 0x9E37_79B1 target lsr (32 - log2 sets)
 
 let clear_table env base entries =
-  let mem = env.Env.machine.Machine.mem in
-  for i = 0 to entries - 1 do
-    Memory.store_word mem (base + (8 * i)) empty_tag;
-    Memory.store_word mem (base + (8 * i) + 4) 0
-  done
+  Memory.fill env.Env.machine.Machine.mem base ~words:(2 * entries)
+    [| empty_tag; 0 |]
 
 let alloc_table env entries =
   let base = Layout.alloc env.Env.layout ~bytes:(8 * entries) in

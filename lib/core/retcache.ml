@@ -13,10 +13,8 @@ let slot_index t ra = (ra lsr 2) land (t.entries - 1)
 let slot_addr t ra = t.base + (4 * slot_index t ra)
 
 let reset_slots t env =
-  let mem = env.Env.machine.Machine.mem in
-  for i = 0 to t.entries - 1 do
-    Memory.store_word mem (t.base + (4 * i)) t.default_routine
-  done
+  Memory.fill env.Env.machine.Machine.mem t.base ~words:t.entries
+    [| t.default_routine |]
 
 let emit_default_routine t env =
   (* an empty slot: hand the return to the IB mechanism *)

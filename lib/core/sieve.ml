@@ -25,10 +25,8 @@ let hash_value (cfg : Config.sieve) target =
 let bucket_addr t idx = t.bucket_base + (4 * idx)
 
 let reset_buckets t env =
-  let mem = env.Env.machine.Machine.mem in
-  for i = 0 to t.cfg.Config.buckets - 1 do
-    Memory.store_word mem (bucket_addr t i) t.miss_routine
-  done;
+  Memory.fill env.Env.machine.Machine.mem t.bucket_base
+    ~words:t.cfg.Config.buckets [| t.miss_routine |];
   Hashtbl.reset t.chains
 
 (* One sieve stub:

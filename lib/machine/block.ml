@@ -17,22 +17,25 @@ module Timing = Sdt_march.Timing
 
    Only a store can invalidate live decoded code (bump
    {!Memory.code_gen}) — possibly the remainder of this very block —
-   so only store closures re-check the generation: on a bump they
-   record how many ops ran in [cache.abort] and return instead of
-   calling the rest of the chain, which tells the executor to abort
-   the block and re-enter through {!find}. Nothing else pays for the
-   check, and the executor tests for an abort once per block rather
-   than once per instruction.
+   so only store closures re-check: when the generation moved and the
+   block's own code changed they record how many ops ran in
+   [cache.abort] and return instead of calling the rest of the chain,
+   which tells the executor to abort the block and re-enter through
+   {!find}. Nothing else pays for the check, and the executor tests
+   for an abort once per block rather than once per instruction.
 
-   [gen] is the code generation the compilation is valid for. It also
-   drives chaining: a terminator's cached successor link is followed
-   only while the successor's [gen] equals the current generation, so
-   one compare replaces the block-cache probe on hot transitions, and
-   any store into decoded code severs every stale link at once.
-   [start] is immutable, which is what makes a link to a block that was
-   evicted from the table by a colliding PC ("ghost" block) still safe
-   to follow: it re-executes exactly the code it was compiled from as
-   long as the generation matches. *)
+   [gen] is the code generation the block was last found current at.
+   It also drives chaining: a terminator's cached successor link is
+   followed while the successor is current — one compare when its
+   [gen] equals the generation, which replaces the block-cache probe
+   on hot transitions; otherwise a region test over the successor's
+   own words ({!Memory.code_changed}) decides between adopting the new
+   generation and severing the link, so a store into decoded code
+   costs only the blocks whose regions it hit. [start] is immutable,
+   which is what makes a link to a block that was evicted from the
+   table by a colliding PC ("ghost" block) still safe to follow: it
+   re-executes exactly the code it was compiled from as long as that
+   code is unchanged. *)
 
 type t = {
   start : int;
@@ -128,10 +131,13 @@ and isite = {
    A trace captures its constituent blocks' [body]/terminator closures
    at formation time and is valid exactly while [tr_gen] equals the
    current generation: any store into decoded code bumps the generation
-   and thereby severs the trace before it can run again, mirroring
-   chain severing. Constituents may later be evicted from the table
-   (ghost blocks) — like chain links this is safe because [start] is
-   immutable and the generation compare subsumes the table probe. *)
+   and thereby severs the trace before it can run again, and a store
+   made while it runs stops it at the next segment boundary. Traces
+   are not revalidated like blocks: one is rebuilt from links once its
+   head goes hot again. Constituents may later be evicted from the
+   table (ghost blocks) — like chain links this is safe because
+   [start] is immutable and the generation compare subsumes the table
+   probe. *)
 and trace = {
   tr_gen : int; (* generation every constituent was compiled under *)
   tr_blocks : t array;
@@ -351,12 +357,37 @@ let[@inline] rget regs r = Array.unsafe_get regs r
 let[@inline] rset regs r v =
   if r <> 0 then Array.unsafe_set regs r (v land Word.mask)
 
+(* Validation. A block's [gen] is the generation it was last found
+   current at. While it equals the memory's generation nothing can have
+   changed; when it fell behind, the block is still current if no store
+   since then landed in its own words ({!Memory.code_changed} answers
+   for the regions they span). [is_current] is the pure predicate,
+   shared with introspection; [valid] is the executor's form, which
+   also adopts the current generation so the next check is one compare
+   again. Adoption never skips a change: a block adopts only while no
+   region it spans was stamped after its [gen]. *)
+let[@inline] unchanged cache (b : t) =
+  not
+    (Memory.code_changed cache.mem ~since:b.gen b.start
+       (b.start + (4 * b.n_instrs)))
+
+let is_current cache (b : t) = b.gen = !(cache.gen) || unchanged cache b
+
+let adopt cache (b : t) =
+  unchanged cache b
+  && begin
+       b.gen <- !(cache.gen);
+       true
+     end
+
+let[@inline] valid cache (b : t) = b.gen = !(cache.gen) || adopt cache b
+
 (* Untimed body execution, shared by every untimed closure: machines
    without a timing model (tests, tools) are not on the benchmark hot
    path, so one residual match per instruction beats thirty more
-   closure bodies. Returns [false] iff a store bumped the generation
-   past [mygen]. *)
-let exec_body_untimed regs mem (c : Counters.t) gen mygen i =
+   closure bodies. Returns [false] iff a store changed code of [self],
+   the block being executed. *)
+let exec_body_untimed regs mem (c : Counters.t) cache self i =
   match i with
   | Inst.Nop -> true
   | Inst.Add (rd, rs, rt) ->
@@ -452,12 +483,12 @@ let exec_body_untimed regs mem (c : Counters.t) gen mygen i =
       let addr = Word.add (rget regs rs) (Word.of_signed off) in
       Memory.store_word mem addr (rget regs rt);
       c.stores <- c.stores + 1;
-      !gen = mygen
+      valid cache self
   | Inst.Sb (rt, rs, off) ->
       let addr = Word.add (rget regs rs) (Word.of_signed off) in
       Memory.store_byte mem addr (rget regs rt);
       c.stores <- c.stores + 1;
-      !gen = mygen
+      valid cache self
   | Inst.Beq _ | Inst.Bne _ | Inst.Blt _ | Inst.Bge _ | Inst.Bltu _
   | Inst.Bgeu _ | Inst.J _ | Inst.Jal _ | Inst.Jr _ | Inst.Jalr _
   | Inst.Syscall | Inst.Trap _ | Inst.Halt | Inst.Illegal _ ->
@@ -473,14 +504,14 @@ let exec_body_untimed regs mem (c : Counters.t) gen mygen i =
    first, leaving the MRU line set, so the probe would be a no-op);
    and the dcache probe for memory ops, omitted when the arch has no
    dcache. Every closure tail-calls [next], the compiled remainder of
-   the block; [mygen] guards stores, which on a generation bump record
-   [ab] (their op index + 1 = ops executed) in [cache.abort] and drop
-   the rest of the chain (see above). *)
-let op_timed cache tm ~pc ~nf ~mygen ~ab ~next i : unit -> unit =
+   the block; stores are guarded by [valid] on [self], the block being
+   compiled: when a store changed [self]'s own code they record [ab]
+   (their op index + 1 = ops executed) in [cache.abort] and drop the
+   rest of the chain (see above). *)
+let op_timed cache tm ~self ~pc ~nf ~ab ~next i : unit -> unit =
   let regs = cache.regs in
   let mem = cache.mem in
   let c = cache.c in
-  let gen = cache.gen in
   let dc = (Timing.arch tm).Arch.dcache <> None in
   match i with
   | Inst.Nop ->
@@ -661,12 +692,12 @@ let op_timed cache tm ~pc ~nf ~mygen ~ab ~next i : unit -> unit =
         c.stores <- c.stores + 1;
         if nf then Timing.fetch_np tm ~pc;
         Timing.dcache_np tm ~addr;
-        if !gen = mygen then next () else cache.abort <- ab
+        if valid cache self then next () else cache.abort <- ab
       else fun () ->
         Memory.store_word mem (Word.add (rget regs rs) v) (rget regs rt);
         c.stores <- c.stores + 1;
         if nf then Timing.fetch_np tm ~pc;
-        if !gen = mygen then next () else cache.abort <- ab
+        if valid cache self then next () else cache.abort <- ab
   | Inst.Sb (rt, rs, off) ->
       let v = Word.of_signed off in
       if dc then fun () ->
@@ -675,12 +706,12 @@ let op_timed cache tm ~pc ~nf ~mygen ~ab ~next i : unit -> unit =
         c.stores <- c.stores + 1;
         if nf then Timing.fetch_np tm ~pc;
         Timing.dcache_np tm ~addr;
-        if !gen = mygen then next () else cache.abort <- ab
+        if valid cache self then next () else cache.abort <- ab
       else fun () ->
         Memory.store_byte mem (Word.add (rget regs rs) v) (rget regs rt);
         c.stores <- c.stores + 1;
         if nf then Timing.fetch_np tm ~pc;
-        if !gen = mygen then next () else cache.abort <- ab
+        if valid cache self then next () else cache.abort <- ab
   | Inst.Beq _ | Inst.Bne _ | Inst.Blt _ | Inst.Bge _ | Inst.Bltu _
   | Inst.Bgeu _ | Inst.J _ | Inst.Jal _ | Inst.Jr _ | Inst.Jalr _
   | Inst.Syscall | Inst.Trap _ | Inst.Halt | Inst.Illegal _ ->
@@ -877,18 +908,20 @@ let compile_term cache ~pc ~nf i =
   | Inst.Syscall | Inst.Trap _ | Inst.Halt | Inst.Illegal _ -> T_stop i
   | _ -> assert false (* straight-line shapes never terminate a block *)
 
-(* Compile the instructions starting at [start] into (ops, term, gen,
-   n_instrs). The generation is read after decoding: decoding goes
-   through {!Memory.fetch}, which never stores, so the captured value
-   is the one every word of the block was decoded under — and going
-   through [fetch] is also what gives each word a live decode-cache
-   entry, making a later store into any of them bump the generation. *)
+(* Compile the instructions starting at [b.start] into [b], in place.
+   The generation is read after decoding: decoding goes through
+   {!Memory.fetch}, which never stores, so the captured value is the
+   one every word of the block was decoded under — and going through
+   [fetch] is also what gives each word a live decode-cache entry,
+   making a later store into any of them bump the generation and stamp
+   a region [b] spans. The store closures capture [b] itself, so they
+   check the validation generation [b] holds when they run. *)
 let empty_prefix = [| 0 |]
 
-let compile cache start =
+let compile cache b =
+  let start = b.start in
   let instrs = decode_instrs cache.mem start in
   let n = Array.length instrs in
-  let mygen = !(cache.gen) in
   let last = instrs.(n - 1) in
   let has_term = ends_block last in
   let nbody = if has_term then n - 1 else n in
@@ -909,17 +942,14 @@ let compile cache start =
   let body =
     match cache.tm with
     | None ->
-        let regs = cache.regs
-        and mem = cache.mem
-        and c = cache.c
-        and gen = cache.gen in
+        let regs = cache.regs and mem = cache.mem and c = cache.c in
         let rec build k next =
           if k < 0 then next
           else
             let i = Array.unsafe_get instrs k in
             let ab = k + 1 in
             build (k - 1) (fun () ->
-                if exec_body_untimed regs mem c gen mygen i then next ()
+                if exec_body_untimed regs mem c cache b i then next ()
                 else cache.abort <- ab)
         in
         build (nbody - 1) noop
@@ -928,8 +958,8 @@ let compile cache start =
           if k < 0 then next
           else
             build (k - 1)
-              (op_timed cache tm ~pc:(start + (4 * k)) ~nf:(need_fetch k)
-                 ~mygen ~ab:(k + 1) ~next
+              (op_timed cache tm ~self:b ~pc:(start + (4 * k))
+                 ~nf:(need_fetch k) ~ab:(k + 1) ~next
                  (Array.unsafe_get instrs k))
         in
         build (nbody - 1) noop
@@ -955,22 +985,32 @@ let compile cache start =
         let t_static = if has_term then term_static a last else 0 in
         (prefix.(nbody) + t_static, prefix)
   in
-  (body, term, mygen, n, static, prefix)
-
-let fresh cache start =
   cache.decodes <- cache.decodes + 1;
-  let body, term, gen, n, static_cycles, cyc_prefix = compile cache start in
-  {
-    start;
-    gen;
-    n_instrs = n;
-    body;
-    term;
-    static_cycles;
-    cyc_prefix;
-    heat = 0;
-    trace = None;
-  }
+  b.gen <- !(cache.gen);
+  b.n_instrs <- n;
+  b.body <- body;
+  b.term <- term;
+  b.static_cycles <- static;
+  b.cyc_prefix <- prefix
+
+(* A block record is filled in by [compile]; until then it is an
+   empty stop block that no table or link can reach. *)
+let fresh cache start =
+  let b =
+    {
+      start;
+      gen = 0;
+      n_instrs = 0;
+      body = noop;
+      term = T_stop Inst.Halt;
+      static_cycles = 0;
+      cyc_prefix = empty_prefix;
+      heat = 0;
+      trace = None;
+    }
+  in
+  compile cache b;
+  b
 
 (* Recompile a stale block in place. The record identity survives so
    that links held by predecessors come back to life once the new
@@ -980,26 +1020,21 @@ let fresh cache start =
    compilation). *)
 let refresh cache b =
   cache.invalidations <- cache.invalidations + 1;
-  cache.decodes <- cache.decodes + 1;
   (match b.trace with
   | Some _ ->
       cache.trace_severs <- cache.trace_severs + 1;
       b.trace <- None
   | None -> ());
   b.heat <- 0;
-  let body, term, gen, n, static_cycles, cyc_prefix = compile cache b.start in
-  b.body <- body;
-  b.term <- term;
-  b.gen <- gen;
-  b.n_instrs <- n;
-  b.static_cycles <- static_cycles;
-  b.cyc_prefix <- cyc_prefix
+  compile cache b
 
+(* A stale resident block is recompiled only when its own code changed;
+   one that only fell behind the generation adopts it ([valid]). *)
 let find cache pc =
   let slot = (pc lsr 2) land slot_mask in
   match Array.unsafe_get cache.tbl slot with
   | Some b when b.start = pc ->
-      if b.gen <> !(cache.gen) then refresh cache b;
+      if not (valid cache b) then refresh cache b;
       b
   | _ ->
       let b = fresh cache pc in
@@ -1007,12 +1042,13 @@ let find cache pc =
       b
 
 (* ------------------------------------------------------------------ *)
-(* Chain following. A link is valid iff the linked block's generation
-   equals the current one — exactly the check [find] would make after
-   its start compare, so following a link is observably identical to
-   re-probing the cache (and cheaper by the probe). With chaining
-   disabled the links are never installed and every transition takes
-   the [find] path, which is the [`Block_nochain] differential mode. *)
+(* Chain following. A link is followed iff the linked block is [valid]
+   — exactly the check [find] would make after its start compare, so
+   following a link is observably identical to re-probing the cache
+   (and cheaper by the probe). A linked block whose own code changed is
+   severed and re-probed. With chaining disabled the links are never
+   installed and every transition takes the [find] path, which is the
+   [`Block_nochain] differential mode. *)
 
 let[@inline] sever_if_linked cache = function
   | None -> ()
@@ -1020,7 +1056,7 @@ let[@inline] sever_if_linked cache = function
 
 let follow_static cache (s : static_link) =
   match s.s_link with
-  | Some b when b.gen = !(cache.gen) ->
+  | Some b when valid cache b ->
       cache.chain_hits <- cache.chain_hits + 1;
       b
   | stale ->
@@ -1032,7 +1068,7 @@ let follow_static cache (s : static_link) =
 let follow_cond cache (cd : cond_link) taken =
   if taken then
     match cd.c_tlink with
-    | Some b when b.gen = !(cache.gen) ->
+    | Some b when valid cache b ->
         cache.chain_hits <- cache.chain_hits + 1;
         b
     | stale ->
@@ -1042,7 +1078,7 @@ let follow_cond cache (cd : cond_link) taken =
         b
   else
     match cd.c_flink with
-    | Some b when b.gen = !(cache.gen) ->
+    | Some b when valid cache b ->
         cache.chain_hits <- cache.chain_hits + 1;
         b
     | stale ->
@@ -1072,7 +1108,7 @@ let follow_indirect cache (ind : ind_link) target =
         (1 + Option.value ~default:0 (Hashtbl.find_opt s.is_targets target)));
   if ind.i_pc0 = target then
     match ind.i_l0 with
-    | Some b when b.gen = !(cache.gen) ->
+    | Some b when valid cache b ->
         cache.chain_hits <- cache.chain_hits + 1;
         b
     | stale ->
@@ -1082,7 +1118,7 @@ let follow_indirect cache (ind : ind_link) target =
         b
   else if ind.i_pc1 = target then
     match ind.i_l1 with
-    | Some b when b.gen = !(cache.gen) ->
+    | Some b when valid cache b ->
         cache.chain_hits <- cache.chain_hits + 1;
         ind.i_pc1 <- ind.i_pc0;
         ind.i_l1 <- ind.i_l0;
@@ -1144,7 +1180,7 @@ type pred_kind =
 
 let form_trace cache (head : t) =
   let g = !(cache.gen) in
-  if head.gen <> g then false
+  if not (valid cache head) then false
   else begin
     (* Walk the predicted path, stopping at the first unpredictable or
        already-seen block (a cycle back to the head closes a loop trace
@@ -1163,7 +1199,7 @@ let form_trace cache (head : t) =
         | T_stop _ -> None
         | T_static s -> (
             match s.s_link with
-            | Some b when b.gen = g -> Some (b, P_static s)
+            | Some b when valid cache b -> Some (b, P_static s)
             | _ -> None)
         | T_cond cd ->
             let th = cd.c_theat and fh = cd.c_fheat in
@@ -1171,11 +1207,11 @@ let form_trace cache (head : t) =
             if total < bias_min then None
             else if biased th total then
               match cd.c_tlink with
-              | Some b when b.gen = g -> Some (b, P_cond (cd, true))
+              | Some b when valid cache b -> Some (b, P_cond (cd, true))
               | _ -> None
             else if biased fh total then
               match cd.c_flink with
-              | Some b when b.gen = g -> Some (b, P_cond (cd, false))
+              | Some b when valid cache b -> Some (b, P_cond (cd, false))
               | _ -> None
             else None
         | T_indirect ind ->
@@ -1188,7 +1224,7 @@ let form_trace cache (head : t) =
               && cacheable cache ind.i_pc0
             then
               match ind.i_l0 with
-              | Some b when b.gen = g -> Some (b, P_ind (ind, ind.i_pc0))
+              | Some b when valid cache b -> Some (b, P_ind (ind, ind.i_pc0))
               | _ -> None
             else None
       in
@@ -1226,17 +1262,29 @@ let form_trace cache (head : t) =
          Every segment checks the abort rendezvous once after its body
          (a store into decoded code mid-trace must not run the rest of
          the path), recording WHICH segment aborted so the executor can
-         back out against the right prefix. *)
-      let last = n - 1 in
-      let last_body = blocks.(last).body in
-      let chain =
-        ref (fun () ->
-            last_body ();
-            if cache.abort >= 0 then begin
-              cache.texit_blk <- last;
-              cache.trace_aborts <- cache.trace_aborts + 1
-            end)
+         back out against the right prefix. A store guard stops only
+         the block whose own code changed, yet the segments after it
+         are spliced closures no one revalidates: so a segment starts
+         only while the generation is still the trace's, and otherwise
+         aborts before its first op (the guard before it ran, so the
+         PC is the segment's start). *)
+      let gen = cache.gen in
+      let aborted k =
+        cache.texit_blk <- k;
+        cache.trace_aborts <- cache.trace_aborts + 1
       in
+      let segment k body after () =
+        if !gen = g then begin
+          body ();
+          if cache.abort >= 0 then aborted k else after ()
+        end
+        else begin
+          cache.abort <- 0;
+          aborted k
+        end
+      in
+      let last = n - 1 in
+      let chain = ref (segment last blocks.(last).body noop) in
       for k = n - 2 downto 0 do
         let body = blocks.(k).body in
         let next = !chain in
@@ -1286,14 +1334,7 @@ let form_trace cache (head : t) =
                       cache.texit_pc <- target
                     end)
         in
-        chain :=
-          fun () ->
-            body ();
-            if cache.abort >= 0 then begin
-              cache.texit_blk <- k;
-              cache.trace_aborts <- cache.trace_aborts + 1
-            end
-            else guard ()
+        chain := segment k body guard
       done;
       head.trace <-
         Some
@@ -1318,9 +1359,11 @@ let form_trace cache (head : t) =
    is about to run. Returns the valid trace rooted at [blk] (counting
    the entry), after severing a stale one or attempting formation when
    the block has gone hot. *)
+let trace_current cache tr = tr.tr_gen = !(cache.gen)
+
 let hot_trace cache blk =
   match blk.trace with
-  | Some tr when tr.tr_gen = !(cache.gen) ->
+  | Some tr when trace_current cache tr ->
       tr.tr_entries <- tr.tr_entries + 1;
       cache.trace_entries <- cache.trace_entries + 1;
       blk.trace

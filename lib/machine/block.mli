@@ -21,19 +21,26 @@
     Correctness under self-modifying code: Memory bumps
     {!Memory.code_gen} whenever a store lands in a word covered by a
     live decoding (the SDT emits fragments into simulated memory and
-    the linker patches already-executed words), and both {!find} and
-    every link-follow validate a block's recorded generation before
-    running it — a stale generation recompiles (in {!find}) or severs
-    the link and falls back to {!find}. Mid-block stores into covered
-    code are caught by the store closures themselves, which record the
-    abort point ({!aborted_ops}) and drop the rest of the chain so the
-    executor aborts the block. *)
+    the linker patches already-executed words), and records the bump
+    against the region the store hit. Both {!find} and every
+    link-follow validate a block before running it: a block whose
+    recorded generation is current runs after one compare; one that
+    fell behind asks {!Memory.code_changed} about its own words and
+    either adopts the current generation (only other code changed) or
+    is recompiled (in {!find}) / has its link severed and re-probed
+    via {!find}. Mid-block stores into the block's own code are caught
+    by the store closures themselves, which record the abort point
+    ({!aborted_ops}) and drop the rest of the chain so the executor
+    aborts the block. *)
 
 module Inst = Sdt_isa.Inst
 
 type t = {
   start : int;  (** immutable: links may outlive table residency *)
-  mutable gen : int;  (** {!Memory.code_gen} the compilation is valid for *)
+  mutable gen : int;
+      (** the {!Memory.code_gen} at which the block was last found
+          current: compiled, or checked unchanged by {!is_current}'s
+          region test and moved forward *)
   mutable n_instrs : int;
       (** instructions the full block executes (body + real terminator) *)
   mutable body : unit -> unit;
@@ -114,8 +121,10 @@ and isite = {
     prediction; the whole path's static cycles are charged once per
     entry with prefix-sum backout at side exits and mid-trace SMC
     aborts. Valid exactly while [tr_gen] equals the current code
-    generation — any store into decoded code severs the trace, like a
-    chain link. *)
+    generation ({!trace_current}): traces are never revalidated, so any
+    store into decoded code severs the trace — and a store made while
+    the trace runs stops it at the next segment boundary, since the
+    spliced segments after the storing one would not see the change. *)
 and trace = {
   tr_gen : int;
   tr_blocks : t array;  (** constituents, head first *)
@@ -176,8 +185,21 @@ val chained : cache -> bool
 val introspected : cache -> bool
 
 val generation : cache -> int
-(** The current code generation ({!Memory.code_gen}): a block or link
-    whose recorded generation differs is stale. *)
+(** The current code generation ({!Memory.code_gen}). A block whose
+    recorded [gen] differs is not necessarily stale: see
+    {!is_current}. *)
+
+val is_current : cache -> t -> bool
+(** Whether the block may run as compiled: its [gen] is the current
+    generation, or no store since [gen] landed in the regions its words
+    span. The executor's check ({!find}, the [follow_*] functions)
+    is this predicate, after which it also moves [gen] forward;
+    [is_current] itself mutates nothing, so observers (introspection)
+    can use it without perturbing the run. *)
+
+val trace_current : cache -> trace -> bool
+(** Whether a trace may still be entered: [tr_gen] is the current
+    generation. Pure, and the executor's own test. *)
 
 val aborted_ops : cache -> int
 (** [-1] if the last executed body chain ran to completion; otherwise
@@ -189,13 +211,13 @@ val clear_abort : cache -> unit
 
 val find : cache -> int -> t
 (** The block starting at a PC: cached, freshly compiled, or recompiled
-    in place if its generation went stale. Faults like {!Memory.fetch}
-    when the PC is misaligned or out of range. *)
+    in place if its own code changed ({!is_current}). Faults like
+    {!Memory.fetch} when the PC is misaligned or out of range. *)
 
 val follow_static : cache -> static_link -> t
-(** The successor block through a link: the cached block if its
-    generation is current (a {e chain hit}), otherwise sever and
-    re-probe via {!find}, re-linking the result. *)
+(** The successor block through a link: the cached block if it
+    {!is_current} (a {e chain hit}), otherwise sever and re-probe via
+    {!find}, re-linking the result. *)
 
 val follow_cond : cache -> cond_link -> bool -> t
 (** Taken/fall-through successor of a conditional branch. *)
@@ -217,7 +239,7 @@ val hot_trace : cache -> t -> trace option
 (** The valid trace rooted at a block the executor is about to run,
     counting the trace entry — or [None] after bumping the block's
     heat, severing a stale trace, or failing to form one. Formation
-    walks only existing generation-current chain links (conditionals
+    walks only existing chain links to current blocks (conditionals
     need [bias_min] observations with a >= 7/8 direction bias, indirect
     terminators a monomorphic inline cache); it never probes or
     decodes, so traces replay only transitions chained mode took. *)
@@ -253,14 +275,14 @@ val decodes : cache -> int
 (** Blocks compiled (including recompilations). *)
 
 val invalidations : cache -> int
-(** Recompilations forced by a code-generation bump. *)
+(** Recompilations forced by a store into the block's own code. *)
 
 type stats = {
   st_decodes : int;
   st_invalidations : int;
   st_chain_hits : int;  (** transitions served by a valid chain link *)
   st_chain_severs : int;
-      (** links found stale (generation bumped) and dropped *)
+      (** links to blocks whose code changed, dropped *)
   st_trace_compiles : int;  (** superblocks formed *)
   st_trace_entries : int;  (** dispatches that entered a valid trace *)
   st_side_exits : int;  (** guard divergences (not SMC aborts) *)

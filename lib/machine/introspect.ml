@@ -11,11 +11,11 @@ let links (b : Block.t) =
   |> List.filter_map (fun (k, l) -> Option.map (fun s -> (k, s)) l)
 
 (* Longest link path out of each block, counted in blocks, following
-   only current-generation links. Memoized DFS; a back-edge into a
-   block still on the stack is cut (contributes 0), so depths are the
-   longest acyclic walk from each node under this traversal. *)
+   only links the executor would follow ({!Block.is_current}).
+   Memoized DFS; a back-edge into a block still on the stack is cut
+   (contributes 0), so depths are the longest acyclic walk from each
+   node under this traversal. *)
 let chain_depths cache =
-  let gen = Block.generation cache in
   let state : (int, int option) Hashtbl.t = Hashtbl.create 256 in
   let rec depth (b : Block.t) =
     match Hashtbl.find_opt state b.Block.start with
@@ -26,7 +26,7 @@ let chain_depths cache =
         let best =
           List.fold_left
             (fun acc (_, s) ->
-              if s.Block.gen = gen then max acc (depth s) else acc)
+              if Block.is_current cache s then max acc (depth s) else acc)
             0 (links b)
         in
         Hashtbl.replace state b.Block.start (Some (best + 1));
@@ -114,7 +114,6 @@ let block_violations cfi (b : Block.t) =
   match cfi with None -> 0 | Some c -> c.cv_violations b.Block.start
 
 let chain_dot ?(site_mech = fun _ -> None) ?cfi cache =
-  let gen = Block.generation cache in
   let resident = Block.resident cache in
   let is_resident = Hashtbl.create 256 in
   List.iter
@@ -178,7 +177,7 @@ let chain_dot ?(site_mech = fun _ -> None) ?cfi cache =
           Buffer.add_string buf
             (Printf.sprintf "  \"%s\" -> \"%s\" [label=\"%s\"%s%s];\n"
                (hex b.Block.start) (hex s.Block.start) kind
-               (if s.Block.gen = gen then "" else " style=dashed")
+               (if Block.is_current cache s then "" else " style=dashed")
                (if violating then " color=red penwidth=2" else "")))
         (links b))
     resident;
@@ -286,7 +285,7 @@ let to_json ?site_mech ?cfi cache =
                    [
                      ("kind", Jsonw.Str kind);
                      ("target", Jsonw.Str (hex s.Block.start));
-                     ("stale", Jsonw.Bool (s.Block.gen <> gen));
+                     ("stale", Jsonw.Bool (not (Block.is_current cache s)));
                    ])
                (links b)) );
       ]
@@ -327,7 +326,8 @@ let to_json ?site_mech ?cfi cache =
                    ("blocks", Jsonw.Int (Array.length tr.Block.tr_blocks));
                    ("instrs", Jsonw.Int tr.Block.tr_n_instrs);
                    ("gen", Jsonw.Int tr.Block.tr_gen);
-                   ("stale", Jsonw.Bool (tr.Block.tr_gen <> gen));
+                   ( "stale",
+                     Jsonw.Bool (not (Block.trace_current cache tr)) );
                    ("entries", Jsonw.Int tr.Block.tr_entries);
                    ("side_exits", Jsonw.Int tr.Block.tr_side_exits);
                    ( "members",

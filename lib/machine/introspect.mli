@@ -26,8 +26,9 @@ val links : Block.t -> (string * Block.t) list
 
 val chain_depths : Block.cache -> (Block.t * int) list
 (** For every resident block, the length (in blocks) of the longest
-    path of {e current-generation} links out of it; cycles are cut at
-    the first revisit, so a self-loop has depth 1. *)
+    path of links to {e current} blocks ({!Block.is_current}: links the
+    executor would follow) out of it; cycles are cut at the first
+    revisit, so a self-loop has depth 1. *)
 
 val block_length_histo : Block.cache -> Histo.t
 (** Resident block lengths in instructions (bounds 1..64). *)
@@ -81,7 +82,8 @@ val chain_dot :
   string
 (** The chain graph as Graphviz DOT: one box per resident block
     (labelled with start PC and length), one edge per installed link
-    (labelled with its kind; stale-generation links dashed). Linked
+    (labelled with its kind; links to blocks whose code changed —
+    those the executor would sever — dashed). Linked
     blocks evicted from the table ("ghosts") appear dotted;
     trace-subsumed blocks are bold blue, trace heads double-bordered.
     With [site_mech], blocks ending in an introspected IB site carry
@@ -101,7 +103,10 @@ val to_json :
     the shape histograms — block length, chain depth, trace length,
     side-exit rate — ({!Histo.to_json}, including p50/p90/p99 from
     {!Histo.percentile}), per-trace records (head, members, entries,
-    side exits, staleness), and per-IB-site counters with entropy.
+    side exits, staleness), and per-IB-site counters with entropy. A
+    link or trace is marked stale exactly when the executor would
+    sever it ({!Block.is_current}, {!Block.trace_current}); computing
+    that mutates nothing.
     With [site_mech], each site row additionally names its current
     mechanism, its transition history, and its re-patch count. With
     [cfi], the dump leads with the active policy and each site row

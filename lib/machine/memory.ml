@@ -29,24 +29,36 @@ let zero_page = Bytes.make page_size '\000'
    [Inst.t] per word costs 8 bytes per 4 memory bytes up front (tens of
    megabytes per machine, written at creation and scanned by every
    major GC), yet only the few dozen kilobytes that hold code are ever
-   fetched. [no_chunk] (the shared empty array) marks a chunk no fetch
-   has touched. *)
+   fetched. [no_chunk] marks a chunk no fetch has touched.
+
+   A chunk's words are also split into 64-word ([region_bits]) regions,
+   and a store that invalidates a live decoding stamps its region with
+   the generation it bumped to. A block whose validation generation
+   fell behind asks {!code_changed} about its own words only, so a
+   store elsewhere no longer recompiles it. The stamps live in the
+   chunk, so pages no fetch has touched cost nothing for them. *)
 let chunk_bits = page_bits - 2
 let chunk_words = 1 lsl chunk_bits
 let chunk_mask = chunk_words - 1
-let no_chunk : Inst.t array = [||]
+let region_bits = 6
+let page_regions_bits = chunk_bits - region_bits
+let page_regions_mask = (1 lsl page_regions_bits) - 1
+
+type chunk = { insts : Inst.t array; stamps : int array }
+
+let no_chunk = { insts = [||]; stamps = [||] }
 
 type t = {
   size : int;
   pages : Bytes.t array; (* indexed by address lsr page_bits *)
-  decoded : Inst.t array array; (* indexed by word number lsr chunk_bits *)
+  decoded : chunk array; (* indexed by word number lsr chunk_bits *)
   (* Block-cache invalidation feed: bumped whenever a store overwrites
-     a word whose decoding is currently cached. Every word a decoded
-     block spans has a live decode-cache entry (block decoding goes
-     through {!fetch}), so any store into code some block covers bumps
-     the generation and the block cache lazily re-decodes — stores to
-     never-fetched words (ordinary data, or the SDT emitting a fresh
-     fragment) leave it untouched. *)
+     a word whose decoding is currently cached, and written into that
+     word's region stamp. Every word a decoded block spans has a live
+     decode-cache entry (block decoding goes through {!fetch}), so any
+     store into code some block covers bumps the generation and stamps
+     a region the block spans — stores to never-fetched words (ordinary
+     data, or the SDT emitting a fresh fragment) leave both untouched. *)
   code_gen : int ref;
 }
 
@@ -90,17 +102,32 @@ let[@inline] page_for_write t addr =
 
 (* Invalidate the cached decoding of word [widx] after a store; if
    there was one, some decoded block may span this word, so bump the
-   generation. A store to a word in a never-fetched chunk (ordinary
-   data) costs one array read. *)
+   generation and stamp the word's region with it. A store to a word
+   in a never-fetched chunk (ordinary data) costs one array read. *)
 let[@inline] note_store t widx =
   let ch = Array.unsafe_get t.decoded (widx lsr chunk_bits) in
   if ch != no_chunk then begin
     let i = widx land chunk_mask in
-    if Array.unsafe_get ch i != not_cached then begin
-      Array.unsafe_set ch i not_cached;
-      incr t.code_gen
+    if Array.unsafe_get ch.insts i != not_cached then begin
+      Array.unsafe_set ch.insts i not_cached;
+      incr t.code_gen;
+      Array.unsafe_set ch.stamps (i lsr region_bits) !(t.code_gen)
     end
   end
+
+(* Regions are numbered across the whole memory: region [r] is word
+   [r lsl region_bits] onward, stamped in chunk [r lsr page_regions_bits]. *)
+let rec stamped_after t since r last =
+  r <= last
+  && (let ch = Array.unsafe_get t.decoded (r lsr page_regions_bits) in
+      ch != no_chunk
+      && Array.unsafe_get ch.stamps (r land page_regions_mask) > since
+     || stamped_after t since (r + 1) last)
+
+let code_changed t ~since lo hi =
+  lo < hi
+  && stamped_after t since (lo lsr (region_bits + 2))
+       ((hi - 1) lsr (region_bits + 2))
 
 (* Written as [addr > size - 4] rather than [addr + 4 > size]: the sum
    wraps negative for [addr] near [max_int] and would pass. *)
@@ -125,15 +152,17 @@ let[@inline] get_word p off =
   if Sys.big_endian then Int32.to_int (swap32 (get32u p off)) land 0xFFFF_FFFF
   else Int32.to_int (get32u p off) land 0xFFFF_FFFF
 
+let[@inline] set_word p off w =
+  if Sys.big_endian then set32u p off (swap32 (Int32.of_int w))
+  else set32u p off (Int32.of_int w)
+
 let load_word t addr =
   check_word t addr "load";
   get_word (Array.unsafe_get t.pages (addr lsr page_bits)) (addr land page_mask)
 
 let store_word t addr w =
   check_word t addr "store";
-  let p = page_for_write t addr in
-  if Sys.big_endian then set32u p (addr land page_mask) (swap32 (Int32.of_int w))
-  else set32u p (addr land page_mask) (Int32.of_int w);
+  set_word (page_for_write t addr) (addr land page_mask) w;
   note_store t (addr lsr 2)
 
 let check_byte t addr kind =
@@ -161,19 +190,24 @@ let fetch t addr =
   check_word t addr "fetch";
   let idx = addr lsr 2 in
   let ch = Array.unsafe_get t.decoded (idx lsr chunk_bits) in
-  let ch =
-    if ch != no_chunk then ch
+  let insts =
+    if ch != no_chunk then ch.insts
     else begin
-      let fresh = Array.make chunk_words not_cached in
+      let fresh =
+        {
+          insts = Array.make chunk_words not_cached;
+          stamps = Array.make (1 lsl page_regions_bits) 0;
+        }
+      in
       Array.unsafe_set t.decoded (idx lsr chunk_bits) fresh;
-      fresh
+      fresh.insts
     end
   in
-  let cached = Array.unsafe_get ch (idx land chunk_mask) in
+  let cached = Array.unsafe_get insts (idx land chunk_mask) in
   if cached != not_cached then cached
   else begin
     let i = Decode.inst (load_word t addr) in
-    Array.unsafe_set ch (idx land chunk_mask) i;
+    Array.unsafe_set insts (idx land chunk_mask) i;
     i
   end
 
@@ -194,23 +228,57 @@ let read_string t addr =
   go addr;
   Buffer.contents buf
 
+(* The page walk shared by the bulk writers: [f page off a k] writes
+   the [k] bytes from address [a], at offset [off] of its page, for
+   each page piece of the in-range span [addr, addr + n) in ascending
+   order; the written words' decodings are then dropped exactly as
+   per-word stores would drop them, skipping pages no fetch touched. *)
+let iter_pages t addr n f =
+  let rec go a rem =
+    if rem > 0 then begin
+      let off = a land page_mask in
+      let k = min rem (page_size - off) in
+      f (page_for_write t a) off a k;
+      if Array.unsafe_get t.decoded (a lsr page_bits) != no_chunk then
+        for w = a lsr 2 to (a + k - 1) lsr 2 do
+          note_store t w
+        done;
+      go (a + k) (rem - k)
+    end
+  in
+  go addr n
+
 let write_bytes t addr b =
   let n = Bytes.length b in
   if addr < 0 || n > t.size - addr then fault addr "store";
-  let rec copy src a =
-    if src < n then begin
-      let off = a land page_mask in
-      let k = min (n - src) (page_size - off) in
-      Bytes.blit b src (page_for_write t a) off k;
-      copy (src + k) (a + k)
-    end
-  in
-  copy 0 addr;
-  let nwords = t.size / 4 in
-  let first = addr lsr 2 and last = (addr + n + 3) lsr 2 in
-  for i = first to min (last - 1) (nwords - 1) do
-    note_store t i
-  done
+  iter_pages t addr n (fun p off a k -> Bytes.blit b (a - addr) p off k)
+
+(* Only the first period of each page piece is stored word by word;
+   the rest is copied from what is already written, doubling each
+   time. The copied span is a whole number of periods, so the phase
+   carries over. *)
+let fill t addr ~words pattern =
+  let period = Array.length pattern in
+  if words < 0 || period = 0 then invalid_arg "Memory.fill";
+  if words > 0 then begin
+    if addr land 3 <> 0 then fault addr "align";
+    if addr < 0 then fault addr "store";
+    if words > (t.size - addr) / 4 then fault (max addr t.size) "store";
+    iter_pages t addr (4 * words) (fun p off a k ->
+        let first = ((a - addr) / 4) mod period in
+        let head = 4 * min period (k / 4) in
+        for j = 0 to (head / 4) - 1 do
+          set_word p (off + (4 * j)) pattern.((first + j) mod period)
+        done;
+        let rec double len =
+          if len < k then begin
+            let n = min len (k - len) in
+            Bytes.blit p off p (off + len) n;
+            double (len + n)
+          end
+        in
+        double head)
+  end
 
 (* The little-endian word at an in-range address of any alignment; one
    that straddles two pages is assembled from its bytes. *)

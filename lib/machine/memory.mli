@@ -11,7 +11,9 @@
     Fetches go through a decode cache so the interpreter does not re-decode
     hot instruction words; any store into a word invalidates that word's
     cached decoding, which is what makes fragment linking (patching
-    emitted code in place) safe. *)
+    emitted code in place) safe. Bulk writes ({!write_bytes}, {!fill})
+    go a page at a time and skip that invalidation on pages no fetch
+    has touched. *)
 
 module Word = Sdt_isa.Word
 module Inst = Sdt_isa.Inst
@@ -54,8 +56,22 @@ val read_string : t -> int -> string
     pointer, not text — as well as on running off the end of memory. *)
 
 val write_bytes : t -> int -> bytes -> unit
-(** Bulk copy (used by the loader); invalidates affected decode-cache
-    entries. *)
+(** Bulk copy (used by the loader), one page at a time; drops the
+    cached decodings of the words it overwrites exactly as per-word
+    stores would.
+    @raise Fault (kind ["store"]) when the range is out of bounds,
+    before writing anything. *)
+
+val fill : t -> int -> words:int -> Word.t array -> unit
+(** [fill t addr ~words pattern] stores [words] words from [addr], word
+    [i] being [pattern.(i mod Array.length pattern)] — the bulk clear
+    of a lookup table. The result equals the {!store_word} loop over
+    the same range: same contents, same decodings dropped, same
+    {!code_gen} bumps. Unlike the loop, the whole range is checked
+    first: on a misaligned or out-of-range range it raises the
+    {!Fault} the loop would raise first, without writing anything.
+    [words = 0] does nothing.
+    @raise Invalid_argument when [words < 0] or [pattern] is empty. *)
 
 (** {1 Block-cache invalidation feed}
 
@@ -65,9 +81,14 @@ val write_bytes : t -> int -> bytes -> unit
     again — the SDT both writes fragments into this memory and patches
     already-executed words in place (exit-stub linking, sieve stub
     insertion). Any store that overwrites a word whose decoding is
-    currently cached (every word a decoded block spans is) bumps
-    {!code_gen}; blocks compare their decode-time generation against it
-    before executing. *)
+    currently cached (every word a decoded block spans is) bumps the
+    global {!code_gen} and records the new generation against a small
+    fixed-size region around that word. A block remembers the
+    generation it was last validated at: while that still equals
+    {!code_gen} it is current at the cost of one compare, and when it
+    falls behind, {!code_changed} over the block's own words tells
+    whether the block must be recompiled or may simply adopt the
+    current generation. *)
 
 val code_gen : t -> int
 (** Current code generation. Monotonic; bumped by any store into a
@@ -78,7 +99,14 @@ val code_gen_ref : t -> int ref
     memory. The block compiler captures it in store-guard closures and
     chain-link validation so the hot path pays one dereference per
     check. Callers must treat it as read-only — only {!Memory}'s own
-    stores bump it, which is what severs stale block-chain links. *)
+    stores bump it. *)
+
+val code_changed : t -> since:int -> int -> int -> bool
+(** [code_changed t ~since lo hi]: whether a store into decoded code
+    that bumped the generation past [since] may have landed in the
+    byte range [\[lo, hi)]. Conservative: [true] for any such store
+    into the regions the range overlaps, never [false] for a store into
+    the range itself. Pure; [false] when [lo >= hi]. *)
 
 val digest_range : t -> lo:int -> len:int -> int
 (** FNV-1a digest (folded to a non-negative OCaml [int]) of [len]

@@ -14,6 +14,8 @@ module Timing = Sdt_march.Timing
 module Memory = Sdt_machine.Memory
 module Machine = Sdt_machine.Machine
 module Block = Sdt_machine.Block
+module Introspect = Sdt_machine.Introspect
+module Jsonw = Sdt_observe.Jsonw
 module Loader = Sdt_machine.Loader
 module Config = Sdt_core.Config
 module Stats = Sdt_core.Stats
@@ -23,6 +25,7 @@ module Synthetic = Sdt_workloads.Synthetic
 
 let check = Alcotest.check
 let int = Alcotest.int
+let bool = Alcotest.bool
 let string = Alcotest.string
 
 (* Everything the harness reports for a run; two runs are equivalent
@@ -305,29 +308,37 @@ let qcheck_block_equivalence =
           ]
       in
       let* pred_depth = oneofl [ 0; 1; 2 ] in
+      (* small fragment caches flush over and over, so the modes must
+         also agree while flushes rewrite code the block cache holds *)
+      let* code_capacity =
+        oneofl [ Config.default.code_capacity; 0x800; 0x1000 ]
+      in
       return
         ( { Synthetic.ib_sites; targets; fns; recursion_depth; iters; seed },
           arch,
           mech,
           returns,
-          pred_depth ))
+          pred_depth,
+          code_capacity ))
   in
   let arb =
     make
-      ~print:(fun (p, arch, mech, returns, pred) ->
+      ~print:(fun (p, arch, mech, returns, pred, cap) ->
         Printf.sprintf "sites=%d targets=%d fns=%d rec=%d iters=%d seed=%d \
-                        arch=%s %s pred=%d"
+                        arch=%s %s pred=%d code_capacity=%#x"
           p.Synthetic.ib_sites p.Synthetic.targets p.Synthetic.fns
           p.Synthetic.recursion_depth p.Synthetic.iters p.Synthetic.seed
           arch.Arch.name
           (Config.describe { Config.default with mech; returns })
-          pred)
+          pred cap)
       gen
   in
   QCheck.Test.make ~count:40
     ~name:"step vs block vs chained bit-identical (random programs)" arb
-    (fun (params, arch, mech, returns, pred_depth) ->
-      let cfg = { Config.default with mech; returns; pred_depth } in
+    (fun (params, arch, mech, returns, pred_depth, code_capacity) ->
+      let cfg =
+        { Config.default with mech; returns; pred_depth; code_capacity }
+      in
       let program = Synthetic.build params in
       let native_step = native_fingerprint arch program `Step in
       let sdt_step = sdt_fingerprint arch cfg program `Step in
@@ -622,6 +633,143 @@ let test_trace_smc_abort () =
   check_four_way "mid-trace SMC program" (native_fingerprint Arch.arch_a program)
 
 (* ------------------------------------------------------------------ *)
+(* Region-precise invalidation. Block A stores [addi $a0,$zero,<$t3>]
+   into the first word of block P, 80 nops further on, and jumps there;
+   P adds $a0 into $s0 and jumps to [back], which counts $t3 down and
+   loops to A, so the program prints 1 + .. + iters. Every store lands
+   in decoded code, so the code generation moves on every iteration,
+   yet only P's code changes: A and [back] must keep their
+   compilations. Past the loop one more store re-writes P's word
+   without running it, which leaves P stale and A and [back] behind
+   the generation but unchanged. *)
+
+let patch_loop_program ~iters =
+  let b = Builder.create () in
+  let start = Builder.here b in
+  let a = Builder.fresh_label b in
+  let p = Builder.fresh_label b in
+  let back = Builder.fresh_label b in
+  Builder.li b Reg.t4 (Encode.inst (Inst.Addi (Reg.a0, Reg.zero, 0)));
+  Builder.la b Reg.t2 p;
+  Builder.li b Reg.t3 iters;
+  let a_pc = Builder.text_pos b in
+  Builder.place b a;
+  Builder.emit b (Inst.Add (Reg.t1, Reg.t4, Reg.t3));
+  Builder.emit b (Inst.Sw (Reg.t1, Reg.t2, 0));
+  Builder.j b p;
+  let back_pc = Builder.text_pos b in
+  Builder.place b back;
+  Builder.emit b (Inst.Addi (Reg.t3, Reg.t3, -1));
+  Builder.bne b Reg.t3 Reg.zero a;
+  Builder.emit b (Inst.Sw (Reg.t1, Reg.t2, 0));
+  Builder.mv b Reg.a0 Reg.s0;
+  Builder.li b Reg.v0 1;
+  Builder.syscall b;
+  Builder.halt b;
+  for _ = 1 to 80 do
+    Builder.nop b
+  done;
+  let p_pc = Builder.text_pos b in
+  Builder.place b p;
+  Builder.emit b (Inst.Addi (Reg.a0, Reg.zero, 0));
+  Builder.emit b (Inst.Add (Reg.s0, Reg.s0, Reg.a0));
+  Builder.j b back;
+  (Builder.assemble b ~entry:start, a_pc, p_pc, back_pc)
+
+let triangle n = string_of_int (n * (n + 1) / 2)
+
+(* In trace mode A and P form one superblock. A's store changes P,
+   not A, so A's own store guard lets the trace go on — and P's
+   spliced segment, compiled before the store, must not run: the trace
+   has to stop at the segment boundary. *)
+let test_trace_cross_segment_patch () =
+  let iters = 60 in
+  let program, _, _, _ = patch_loop_program ~iters in
+  List.iter
+    (fun mode ->
+      let m = Loader.load program in
+      run_native mode m;
+      check string
+        (Printf.sprintf "patched block runs its new word (%s)" (mode_name mode))
+        (triangle iters) (Machine.output m))
+    [ `Step; `Block; `Block_nochain; `Trace ];
+  let s = trace_stats program in
+  if s.Block.st_trace_compiles < 1 then
+    Alcotest.failf "the patch loop never formed a trace (compiles=%d)"
+      s.Block.st_trace_compiles;
+  check_four_way "cross-segment patch" (native_fingerprint Arch.arch_a program)
+
+let test_precise_invalidation () =
+  let iters = 100 in
+  let program, _, _, _ = patch_loop_program ~iters in
+  let m = Loader.load program in
+  Machine.run_blocks m;
+  check string "patch loop output" (triangle iters) (Machine.output m);
+  match Machine.block_stats m with
+  | None -> Alcotest.fail "block cache missing after run_blocks"
+  | Some s ->
+      (* one recompilation of P per store into it; A and the rest of
+         the loop keep their compilations *)
+      if s.Block.st_invalidations > iters + 4 then
+        Alcotest.failf "%d invalidations for %d stores into one block"
+          s.Block.st_invalidations iters
+
+(* Introspection marks a link stale exactly when the executor would
+   sever it, and asking changes no block: at the end of the patch loop
+   P is stale (its word was re-stored after its last run) while A is
+   behind the generation but unchanged, so the executor would still
+   follow [back]'s link to it. *)
+let test_introspect_staleness () =
+  let program, a_pc, p_pc, back_pc = patch_loop_program ~iters:100 in
+  let m = Loader.load program in
+  Machine.set_block_introspect m true;
+  Machine.run_blocks m;
+  let c =
+    match Machine.block_cache m with
+    | Some c -> c
+    | None -> Alcotest.fail "block cache missing after run_blocks"
+  in
+  let block pc =
+    match List.find_opt (fun b -> b.Block.start = pc) (Block.resident c) with
+    | Some b -> b
+    | None -> Alcotest.failf "no resident block at %#x" pc
+  in
+  let a = block a_pc and p = block p_pc in
+  let gens () = List.map (fun b -> b.Block.gen) (Block.resident c) in
+  let before = gens () in
+  check bool "A is behind the generation" true (a.Block.gen < Block.generation c);
+  check bool "A is current" true (Block.is_current c a);
+  check bool "P is stale" false (Block.is_current c p);
+  let json = Introspect.to_json c in
+  ignore (Introspect.chain_dot c);
+  check (Alcotest.list int) "introspection mutates no block" before (gens ());
+  let link_stale from kind =
+    let hex = Printf.sprintf "0x%x" in
+    let blocks =
+      match Jsonw.member "blocks" json with
+      | Some (Jsonw.List l) -> l
+      | _ -> Alcotest.fail "introspection json has no blocks"
+    in
+    let record =
+      List.find
+        (fun r -> Jsonw.member "start" r = Some (Jsonw.Str (hex from)))
+        blocks
+    in
+    match Jsonw.member "links" record with
+    | Some (Jsonw.List links) -> (
+        match
+          List.find_opt (fun l -> Jsonw.member "kind" l = Some (Jsonw.Str kind)) links
+        with
+        | Some l -> Jsonw.member "stale" l
+        | None -> Alcotest.failf "no %s link out of %#x" kind from)
+    | _ -> Alcotest.failf "no links out of %#x" from
+  in
+  check bool "A -> P marked stale" true
+    (link_stale a_pc "static" = Some (Jsonw.Bool true));
+  check bool "back -> A not marked stale" true
+    (link_stale back_pc "taken" = Some (Jsonw.Bool false))
+
+(* ------------------------------------------------------------------ *)
 (* Direct-mapped collision regression: two hot call targets whose
    start PCs alias the same block-cache slot (4 * Block.slots bytes
    apart). Each call evicts the other's block from the table, but
@@ -730,6 +878,10 @@ let () =
         [
           Alcotest.test_case "slot collision: bounded decodes via links"
             `Quick test_collision_decode_ceiling;
+          Alcotest.test_case "a store recompiles only the block it hit"
+            `Quick test_precise_invalidation;
+          Alcotest.test_case "introspection staleness is the executor's"
+            `Quick test_introspect_staleness;
         ] );
       ( "traces",
         [
@@ -737,6 +889,8 @@ let () =
             `Quick test_trace_side_exit_rejoins;
           Alcotest.test_case "mid-trace SMC aborts, severs, re-forms" `Quick
             test_trace_smc_abort;
+          Alcotest.test_case "store into a later segment stops the trace"
+            `Quick test_trace_cross_segment_patch;
         ] );
       ( "observer",
         [ Alcotest.test_case "probe falls back to step path" `Quick

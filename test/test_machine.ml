@@ -322,6 +322,133 @@ let qcheck_paged_vs_flat =
       done;
       Memory.resident_bytes fresh = 0)
 
+(* [Memory.fill] against the [store_word] loop it stands for, run on
+   the flat model and on a second memory: after random stores and
+   fetches (live decodings), a fill with a one- to three-word pattern
+   over a range that may straddle pages or leave the memory. In range,
+   the fill and the loop leave the same bytes, the same decodings, the
+   same resident pages, the same [code_gen] and the same
+   [code_changed] answers; out of range, the fill raises the loop's
+   first fault and writes nothing. *)
+let qcheck_fill_vs_loop =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let word_addr =
+        map (fun a -> a land lnot 3) (int_range 0 (model_size - 4))
+      in
+      let word = int_range 0 0xFFFF_FFFF in
+      let* stores = list_size (int_range 0 12) (pair word_addr word) in
+      let* fetches = list_size (int_range 0 24) word_addr in
+      let* addr =
+        frequency
+          [
+            (4, word_addr);
+            (* ending or starting near a page boundary *)
+            ( 3,
+              map2
+                (fun p d -> (p * page) + (4 * d))
+                (int_range 1 3) (int_range (-40) 8) );
+            (1, int_range (-8) (model_size + 8));
+          ]
+      in
+      let* words =
+        frequency
+          [
+            (3, int_range 0 40);
+            (2, int_range 0 (page / 4 + 80));
+            (1, int_range 0 ((model_size / 4) + 8));
+          ]
+      in
+      let* pattern = array_size (int_range 1 3) word in
+      return (stores, fetches, addr, words, pattern))
+  in
+  let arb =
+    make
+      ~print:(fun (stores, fetches, addr, words, pattern) ->
+        Printf.sprintf "%d stores, fetches [%s]; fill %d ~words:%d [%s]"
+          (List.length stores)
+          (String.concat "; " (List.map string_of_int fetches))
+          addr words
+          (String.concat "; "
+             (Array.to_list (Array.map (Printf.sprintf "%#x") pattern))))
+      gen
+  in
+  Test.make ~count:300 ~name:"fill matches a store_word loop" arb
+    (fun (stores, fetches, addr, words, pattern) ->
+      let setup () =
+        let m = Memory.create ~size_bytes:model_size in
+        List.iter (fun (a, w) -> Memory.store_word m a w) stores;
+        List.iter (fun a -> ignore (Memory.fetch m a)) fetches;
+        m
+      in
+      let filled = setup () and looped = setup () in
+      let flat = Bytes.make model_size '\000' in
+      List.iter (fun (a, w) -> Bytes.set_int32_le flat a (Int32.of_int w)) stores;
+      let before = Bytes.copy flat in
+      let g0 = Memory.code_gen filled in
+      let resident0 = Memory.resident_bytes filled in
+      let store_loop store =
+        for i = 0 to words - 1 do
+          store (addr + (4 * i)) pattern.(i mod Array.length pattern)
+        done;
+        ""
+      in
+      let got = outcome (fun () -> Memory.fill filled addr ~words pattern; "")
+      and want = outcome (fun () -> store_loop (Memory.store_word looped)) in
+      ignore
+        (outcome (fun () ->
+             store_loop (fun a w ->
+                 model_check_word a "store";
+                 Bytes.set_int32_le flat a (Int32.of_int w))));
+      if got <> want then Test.fail_reportf "fill %s, loop %s" got want;
+      let fetched_same m ref_of =
+        List.iter
+          (fun a ->
+            let got = Inst.to_string (Memory.fetch m a)
+            and want = Inst.to_string (Decode.inst (model_word ref_of a)) in
+            if got <> want then
+              Test.fail_reportf "fetch %d: %s, expected %s" a got want)
+          fetches
+      in
+      let bytes_are m ref_of =
+        for a = 0 to model_size - 1 do
+          if Memory.load_byte_u m a <> Char.code (Bytes.get ref_of a) then
+            Test.fail_reportf "byte %d differs" a
+        done
+      in
+      if String.starts_with ~prefix:"fault" got then begin
+        bytes_are filled before;
+        if Memory.code_gen filled <> g0 then
+          Test.fail_report "a faulting fill moved code_gen";
+        if Memory.resident_bytes filled <> resident0 then
+          Test.fail_report "a faulting fill allocated pages";
+        fetched_same filled before
+      end
+      else begin
+        bytes_are filled flat;
+        bytes_are looped flat;
+        let g1 = Memory.code_gen looped in
+        if Memory.code_gen filled <> g1 then
+          Test.fail_reportf "code_gen: fill %d, loop %d"
+            (Memory.code_gen filled) g1;
+        if Memory.resident_bytes filled <> Memory.resident_bytes looped then
+          Test.fail_report "resident pages differ";
+        List.iter
+          (fun since ->
+            for w = 0 to (model_size / 4) - 1 do
+              let lo = 4 * w in
+              if
+                Memory.code_changed filled ~since lo (lo + 4)
+                <> Memory.code_changed looped ~since lo (lo + 4)
+              then
+                Test.fail_reportf "code_changed ~since:%d at %d differs" since lo
+            done)
+          (List.sort_uniq compare [ g0; g0 + 1; (g0 + g1) / 2; g1 - 1; g1 ]);
+        fetched_same filled flat
+      end;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Syscall *)
 
@@ -672,6 +799,7 @@ let () =
           Alcotest.test_case "strings" `Quick test_memory_read_string;
           Alcotest.test_case "pages allocated on first write" `Quick test_memory_lazy;
           QCheck_alcotest.to_alcotest qcheck_paged_vs_flat;
+          QCheck_alcotest.to_alcotest qcheck_fill_vs_loop;
         ] );
       ("syscall", [ Alcotest.test_case "checksum mix" `Quick test_checksum_mix ]);
       ( "machine",
