@@ -449,7 +449,7 @@ let guest_errors f =
 
 let run file workload size_name native arch_name mech ibtc_entries
     sieve_buckets inline miss_policy returns pred no_link traces ways
-    profile_ib shepherd cfi_name show_stats trace_steps dump_frags max_steps
+    profile_ib cfi_name show_stats trace_steps dump_frags max_steps
     trace_file
     metrics_file profile sample_interval exec_mode_name introspect_dir
     stats_json serve_tenants serve_policy serve_bound serve_budget no_dedup
@@ -585,7 +585,6 @@ let run file workload size_name native arch_name mech ibtc_entries
         link_direct = not no_link;
         follow_direct_jumps = traces;
         profile_ib_sites = profile_ib;
-        shepherd;
         cfi;
       }
     in
@@ -614,19 +613,21 @@ let run file workload size_name native arch_name mech ibtc_entries
        single-step from the fragment cache *)
     if trace_steps > 0 then (
       try Runtime.run ~max_steps:0 rt with Machine.Error _ -> ());
-    (try
-       traced (Runtime.machine rt);
-       Runtime.run ~max_steps ~mode:exec_mode rt
-     with
-    | Runtime.Policy_violation { target } ->
-        Printf.printf "POLICY VIOLATION: control transfer to %#x blocked\n"
-          target
-    | Cfi.Violation { site_pc; target } ->
-        Printf.printf
-          "CFI VIOLATION: transfer%s to %#x failed the %s policy check\n"
-          (if site_pc <> 0 then Printf.sprintf " from %#x" site_pc else "")
-          target
-          (Config.cfi_name cfg.Config.cfi));
+    (* a blocked transfer stops the guest: report, then exit 1 *)
+    let blocked =
+      match
+        traced (Runtime.machine rt);
+        Runtime.run ~max_steps ~mode:exec_mode rt
+      with
+      | () -> false
+      | exception Cfi.Violation { site_pc; target } ->
+          Printf.printf
+            "CFI VIOLATION: transfer%s to %#x failed the %s policy check\n"
+            (if site_pc <> 0 then Printf.sprintf " from %#x" site_pc else "")
+            target
+            (Config.cfi_name cfg.Config.cfi);
+          true
+    in
     let m = Runtime.machine rt in
     print_string (Machine.output m);
     Printf.printf "\n--- SDT %s on %s ---\n" (Config.describe cfg) arch.Arch.name;
@@ -839,7 +840,7 @@ let run file workload size_name native arch_name mech ibtc_entries
                              (Runtime.cfi_report rt)) );
                  ])))
       stats_json;
-    0
+    if blocked then 1 else 0
   end
 
 let file =
@@ -906,10 +907,6 @@ let ways =
 let profile_ib =
   Arg.(value & flag & info [ "profile-ib" ]
        ~doc:"Instrument every IB site with an execution counter and print the hottest sites.")
-
-let shepherd =
-  Arg.(value & flag & info [ "shepherd" ]
-       ~doc:"Enforce a control-flow policy: transfers may only enter the text segment.")
 
 let cfi_name =
   Arg.(value & opt (some string) None & info [ "cfi" ] ~docv:"POLICY"
@@ -1014,7 +1011,9 @@ let cmd =
             ~doc:
               "when the guest faults (a bad memory access), breaks the \
                machine (an illegal instruction, the step limit) or the \
-               translator, or an output file cannot be written."
+               translator, a CFI policy blocks one of its control \
+               transfers (after the report is printed), or an output file \
+               cannot be written."
          :: Cmd.Exit.info 2
               ~doc:
                 "on a bad option value or an unreadable or malformed \
@@ -1023,7 +1022,7 @@ let cmd =
     Term.(
       const run $ file $ workload $ size_name $ native $ arch_name $ mech
       $ ibtc_entries $ sieve_buckets $ inline $ miss_policy $ returns $ pred
-      $ no_link $ traces $ ways $ profile_ib $ shepherd $ cfi_name $ show_stats
+      $ no_link $ traces $ ways $ profile_ib $ cfi_name $ show_stats
       $ trace_steps $ dump_frags $ max_steps $ trace_file $ metrics_file
       $ profile $ sample_interval $ exec_mode_name $ introspect_dir
       $ stats_json $ serve_tenants $ serve_policy $ serve_bound $ serve_budget

@@ -45,10 +45,9 @@
 type t
 
 exception Violation of { site_pc : int; target : int }
-(** A hard CFI failure: a misaligned or out-of-text indirect target
-    (like {!Runtime.Policy_violation}, but attributed to the recorded
-    transferring site when a compartment policy knows it; [site_pc] is
-    0 when unknown). *)
+(** A hard CFI failure: a misaligned or out-of-text indirect target,
+    attributed to the recorded transferring site when a compartment
+    policy knows it ([site_pc] is 0 when unknown). *)
 
 val create : Env.t -> text_lo:int -> text_hi:int -> entry:int -> t
 (** Build the policy state for [env.cfg.cfi] (which must not be

@@ -100,7 +100,6 @@ type t = {
   code_capacity : int;
   count_memops : bool;
   profile_ib_sites : bool;
-  shepherd : bool;
   cfi : cfi_policy;
 }
 
@@ -142,7 +141,6 @@ let default =
     code_capacity = 0x0050_0000;
     count_memops = false;
     profile_ib_sites = false;
-    shepherd = false;
     cfi = cfi_from_env;
   }
 
@@ -158,7 +156,6 @@ let baseline =
     code_capacity = 0x0050_0000;
     count_memops = false;
     profile_ib_sites = false;
-    shepherd = false;
     cfi = cfi_from_env;
   }
 
@@ -242,11 +239,6 @@ let validate t =
         ensure (depth > 0 && depth <= 1 lsl 16) "shadow stack depth out of range"
   in
   let* () =
-    ensure
-      (not (t.shepherd && t.returns = Fast_return))
-      "shepherding cannot police fast returns (they bypass the translator)"
-  in
-  let* () =
     match t.cfi with
     | Cfi_none | Cfi_landing_pad | Ret_integrity -> Ok ()
     | Cfi_compartment { count } ->
@@ -295,7 +287,6 @@ let describe t =
   let link = if t.link_direct then "" else "+nolink" in
   let trace = if t.follow_direct_jumps then "+traces" else "" in
   let instr = if t.count_memops then "+count-memops" else "" in
-  let shep = if t.shepherd then "+shepherd" else "" in
   let cfi =
     match t.cfi with
     | Cfi_none -> ""
@@ -303,4 +294,4 @@ let describe t =
     | Cfi_compartment { count } -> Printf.sprintf "+cfi:comp%d" count
     | Ret_integrity -> "+cfi:ret"
   in
-  mech ^ "+" ^ ret ^ pred ^ link ^ trace ^ instr ^ shep ^ cfi
+  mech ^ "+" ^ ret ^ pred ^ link ^ trace ^ instr ^ cfi

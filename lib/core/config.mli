@@ -186,16 +186,6 @@ type t = {
           site its own execution counter; read the profile back with
           {!Runtime.ib_site_profile} — the data a dynamic optimiser
           would use to pick per-site mechanisms *)
-  shepherd : bool;
-      (** program shepherding (the security use case of SDTs): every
-          control-transfer target entering the translator is validated
-          against the application's text region before it is translated
-          or cached; a hijacked indirect branch raises
-          {!Runtime.Policy_violation} instead of executing data.
-          Validation happens only on the miss path, so steady-state cost
-          is zero — the selling point of SDT-based enforcement.
-          Incompatible with {!Fast_return}, whose returns bypass the
-          translator entirely (the security/transparency trade). *)
   cfi : cfi_policy;
       (** control-flow-integrity policy stage composed with the IB
           mechanism at translation time (see {!cfi_policy}); [Cfi_none]

@@ -22,16 +22,9 @@ type t = {
   mutable ret : Translate.ret_plan;
   mutable mech : mech_instance;
   entry : int;
-  (* program shepherding: the address range of the application's text
-     segment (the one containing the entry point); valid transfer
-     targets must be word-aligned addresses inside it *)
-  text_lo : int;
-  text_hi : int;
   cfi : Cfi.t option;  (** the active CFI policy engine, if any *)
   mutable started : bool;
 }
-
-exception Policy_violation of { target : int }
 
 let wire_mech_dispatch env =
   env.Env.mech_routine <- env.Env.translator_entry;
@@ -152,10 +145,6 @@ let ensure t app_pc =
   (match env.Env.service with
   | Some s when s.Env.sv_flush_pending -> env.Env.flush ()
   | Some _ | None -> ());
-  if
-    env.Env.cfg.Config.shepherd
-    && (app_pc < t.text_lo || app_pc >= t.text_hi || app_pc land 3 <> 0)
-  then raise (Policy_violation { target = app_pc });
   match Hashtbl.find_opt env.Env.frags app_pc with
   | Some frag -> frag
   | None -> (
@@ -310,8 +299,6 @@ let create ~cfg ~arch ?timing ?observer (program : Program.t) =
       ret = Translate.Plan_as_ib;
       mech = M_dispatch;
       entry = program.Program.entry;
-      text_lo;
-      text_hi;
       cfi;
       started = false;
     }

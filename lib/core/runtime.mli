@@ -13,11 +13,6 @@ module Program = Sdt_isa.Program
 
 exception Error of string
 
-exception Policy_violation of { target : int }
-(** Raised (under {!Config.t.shepherd}) when a control transfer tries to
-    enter code outside the application's text segment — e.g. an indirect
-    branch through a corrupted function pointer. *)
-
 type t
 
 val create :

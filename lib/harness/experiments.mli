@@ -21,12 +21,13 @@ type cell = {
     architecture × configuration. *)
 
 type experiment = {
-  id : string;  (** "T1", "F1" … "F10", "A1" … "A5" *)
+  id : string;  (** "T1", "F1" … "F12", "A1" … "A5" *)
   title : string;
   grid : cell list;
-      (** the full measurement grid, declared as data so a worker pool
-          can evaluate it ahead of rendering; covers every cell [run]
-          will ask for *)
+      (** the full measurement grid, derived from the one list that
+          names the experiment's configurations so a worker pool can
+          evaluate it ahead of rendering; covers every cell [run] will
+          ask for and no other *)
   serves : size -> Sdt_serve.Serve.spec list;
       (** multi-tenant service runs the experiment needs ({!Run.serve}
           cells), declared like [grid] so [evaluate] can pre-warm them
@@ -46,68 +47,16 @@ val evaluate : ?pool:Sdt_par.Pool.t -> size -> experiment -> int
     count: the pool only decides who simulates, never what is
     reported. *)
 
-val table_ib_characteristics : size -> Table.t list
-(** T1: dynamic indirect-branch characteristics of the suite. *)
-
-val fig_baseline_overhead : size -> Table.t list
-(** F1: baseline (translator-dispatch) slowdown and where it goes. *)
-
-val fig_ibtc_size_sweep : size -> Table.t list
-(** F2: shared-IBTC size sweep — slowdown and miss rate vs entries. *)
-
-val fig_ibtc_sharing : size -> Table.t list
-(** F3: one shared table vs per-branch tables. *)
-
-val fig_ibtc_miss_policy : size -> Table.t list
-(** F4: full context switch vs fast reload on IBTC misses. *)
-
-val fig_sieve_sweep : size -> Table.t list
-(** F5: sieve bucket-count sweep, plus chain-shape statistics. *)
-
-val fig_return_handling : size -> Table.t list
-(** F6: returns-as-IB vs return cache vs shadow stack vs fast returns. *)
-
-val fig_target_prediction : size -> Table.t list
-(** F7: inline target prediction depth 0/1/2/4. *)
-
-val fig_cross_arch : size -> Table.t list
-(** F8: mechanism ranking on archA vs archB. *)
-
-val fig_best_config : size -> Table.t list
-(** F9: best configuration per benchmark per architecture. *)
-
-val fig_adaptive : size -> Table.t list
-(** F10: adaptive per-site IB mechanism selection vs every static
-    mechanism, per architecture, plus site-transition dynamics. *)
-
-val fig_ablation_linking : size -> Table.t list
-(** A1: direct-branch linking on/off. *)
-
-val fig_ablation_hash : size -> Table.t list
-(** A2: IBTC hash function — shift-mask vs multiplicative. *)
-
-val fig_ablation_sieve_order : size -> Table.t list
-(** A3: sieve chain insertion at head vs tail. *)
-
-val fig_ablation_traces : size -> Table.t list
-(** A4: superblock formation (translating through direct jumps). *)
-
-val fig_ablation_assoc : size -> Table.t list
-(** A5: IBTC associativity (direct-mapped vs 2-way) on small tables. *)
-
-val fig_serving : size -> Table.t list
-(** F11: multi-tenant serving — eviction policy × cache bound,
-    churn schedules (closed vs open-loop), cross-tenant dedup scaling,
-    and IB mechanism × cache pressure, over the shared bounded
-    fragment store. *)
-
 val ib_mech_sweep : unit -> string list * Sdt_core.Config.adaptive
 (** The IB-mechanism field F10 sweeps (column labels, adaptive last)
     and the adaptive thresholds it runs with — recorded into
     [RUN_META.json] via {!Meta.ib_mechanisms_json}. *)
 
 val experiments : experiment list
-(** All of the above, in presentation order. *)
+(** Every experiment, in presentation order: T1 (IB characteristics),
+    F1–F12 (the paper's figures, then the adaptive, serving and CFI
+    extensions) and A1–A5 (ablations). DESIGN.md's experiment index
+    says what each one measures. *)
 
 val find : string -> experiment option
 (** Look up by id, case-insensitively. *)

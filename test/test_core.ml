@@ -549,63 +549,6 @@ let test_fast_return_flush_rejected () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Program shepherding *)
-
-let rogue_src =
-  (* a "hijacked" function pointer: the program jumps through a value
-     that points into its own data segment *)
-  {|
-        .data
-payload:.word 0x1234, 0x5678
-        .text
-main:   la   $t0, payload
-        jr   $t0              # control-flow hijack
-        halt
-|}
-
-let test_shepherd_catches_hijack () =
-  let program = Assembler.assemble_string rogue_src in
-  let cfg = { Config.default with shepherd = true } in
-  let rt = Runtime.create ~cfg ~arch:Arch.arch_a program in
-  (match Runtime.run ~max_steps:100_000 rt with
-  | exception Runtime.Policy_violation { target } ->
-      check int "violation reports the rogue target" Program.default_data_base
-        target
-  | exception Cfi.Violation { target; _ } ->
-      (* under SDT_CFI the policy stage catches the hijack before the
-         shepherd range check — equally a successful catch *)
-      check int "violation reports the rogue target" Program.default_data_base
-        target
-  | exception e ->
-      Alcotest.failf "expected Policy_violation, got %s" (Printexc.to_string e)
-  | () -> Alcotest.fail "hijack executed to completion");
-  (* without shepherding the SDT happily translates the data bytes *)
-  let rt2 = Runtime.create ~cfg:Config.default ~arch:Arch.arch_a program in
-  check bool "unshepherded run does not raise Policy_violation" true
-    (match Runtime.run ~max_steps:100_000 rt2 with
-    | exception Runtime.Policy_violation _ -> false
-    | exception _ -> true
-    | () -> true)
-
-let test_shepherd_no_false_positives () =
-  (* the torture program (tables of legitimate function pointers) must
-     run unmodified under enforcement *)
-  equivalence_case ~cfg:{ Config.default with shepherd = true } ();
-  equivalence_case
-    ~cfg:
-      {
-        Config.default with
-        shepherd = true;
-        mech = Config.Sieve Config.default_sieve;
-        returns = Config.Shadow_stack { depth = 128 };
-      }
-    ()
-
-let test_shepherd_rejects_fast_returns () =
-  let cfg = { Config.default with shepherd = true; returns = Config.Fast_return } in
-  check bool "config rejected" true (Config.validate cfg <> Ok ())
-
-(* ------------------------------------------------------------------ *)
 (* Shadow-stack edge cases *)
 
 let deep_recursion_src =
@@ -805,9 +748,20 @@ let test_cfi_traces_and_flush () =
       }
     ()
 
+let rogue_src =
+  (* a "hijacked" function pointer: the program jumps through a value
+     that points into its own data segment *)
+  {|
+        .data
+payload:.word 0x1234, 0x5678
+        .text
+main:   la   $t0, payload
+        jr   $t0              # control-flow hijack
+        halt
+|}
+
 let test_cfi_catches_hijack () =
-  (* the hard membership predicate stops a data-segment hijack without
-     shepherding enabled *)
+  (* the hard membership predicate stops a data-segment hijack *)
   let program = Assembler.assemble_string rogue_src in
   List.iter
     (fun mech ->
@@ -1190,14 +1144,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_equivalence_any_block_limit;
           QCheck_alcotest.to_alcotest prop_timing_arch_independent_semantics;
           Alcotest.test_case "ideal CPI = 1" `Quick test_ideal_arch_cpi_one;
-        ] );
-      ( "shepherding",
-        [
-          Alcotest.test_case "catches hijack" `Quick test_shepherd_catches_hijack;
-          Alcotest.test_case "no false positives" `Quick
-            test_shepherd_no_false_positives;
-          Alcotest.test_case "rejects fast returns" `Quick
-            test_shepherd_rejects_fast_returns;
         ] );
       ( "shadow-stack",
         [

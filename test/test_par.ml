@@ -200,7 +200,6 @@ let config_fields : (int -> Config.t -> Config.t) list =
       (fun r c -> { c with code_capacity = bump r c.code_capacity });
       (fun _ c -> { c with count_memops = not c.count_memops });
       (fun _ c -> { c with profile_ib_sites = not c.profile_ib_sites });
-      (fun _ c -> { c with shepherd = not c.shepherd });
       (fun r c ->
         {
           c with
